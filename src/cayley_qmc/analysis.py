@@ -9,8 +9,6 @@ evaluation through the state machinery in `qmc_state`.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,18 +347,6 @@ class PhasePoint:
     threshold: float
 
 
-def worker_count() -> int:
-    """Worker cap from QMC_TREE_THREADS (defaults to 1)."""
-    raw = os.environ.get("QMC_TREE_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"QMC_TREE_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 def _scan_point(args: tuple[float, float, float]) -> PhasePoint:
     j, j0, beta = args
     threshold = dd_threshold(j, beta)
@@ -378,29 +364,15 @@ def phase_diagram_scan(
     j0_max: float,
     beta: float,
     resolution: int,
-    workers: int | None = None,
 ) -> list[PhasePoint]:
     """Delta sign, classification and threshold over a (J, J0) grid.
 
     Rows are ordered by (j, j0); singular points (J = +-J0) are flagged
-    in-row.  Work may be spread over threads, assembled deterministically.
+    in-row.
     """
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
     js = np.linspace(j_min, j_max, resolution)
     j0s = np.linspace(j0_min, j0_max, resolution)
     points = [(float(j), float(j0), beta) for j in js for j0 in j0s]
-    workers = worker_count() if workers is None else max(1, workers)
-    if workers == 1:
-        return [_scan_point(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_point, points))
-
-
-def same_level_invariance_gap(ctx: EvalContext, matrix: np.ndarray, level: int) -> float:
-    """Spread of single-site expectations across all vertices of one level."""
-    values = [
-        eval_recursive(ctx, Observable.single(site, matrix)) for site in ball_vertices(level, ctx.params.k)
-        if site.level == level
-    ]
-    return max(abs(v - values[0]) for v in values)
+    return [_scan_point(pt) for pt in points]

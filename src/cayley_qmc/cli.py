@@ -215,7 +215,11 @@ def _cmd_solve(args) -> str:
 def _cmd_evaluate(args) -> str:
     params = ModelParams(args.j0, args.j, args.beta)
     with open(args.observable, encoding="utf-8") as fh:
-        obs = Observable.from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"observable file {args.observable} is not JSON: {exc}") from None
+    obs = Observable.from_json_dict(doc)
     ctx = EvalContext.create(params, Branch(args.branch))
     value = eval_recursive(ctx, obs)
     return render_json(

@@ -37,7 +37,7 @@ def pauli(axis: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings and inverse temperature: Ising j0, XY j, beta > 0, tree order k."""
+    """Finite couplings and inverse temperature: Ising j0, XY j, beta > 0, tree order k."""
 
     j0: float
     j: float
@@ -45,6 +45,9 @@ class ModelParams:
     k: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("j0", "j", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.beta > 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
         if self.k < 1:

@@ -5,9 +5,16 @@ Three routes coexist on purpose:
 * a dense brute force that literally builds the weight matrix of the volume
   (guarded at 7 sites, i.e. the two-level ball);
 * an exact sparse variant of the same formula that reaches the three-level
-  ball without materializing any dense object beyond 128x128;
+  ball (15 sites): it builds the literal sparse K once per context and depth,
+  reduces K*K to the inner sites by tracing out the boundary level, and then
+  evaluates every observable against that weight, 128x128 at the 15-site
+  ball, so no dense object beyond 128x128 is ever built;
 * a recursive level-by-level contraction through the per-vertex conditional
   expectation, valid at any depth.
+
+Both brute-force routes end in the same step, the normalized trace of a
+site-labelled weight against the embedded observable; they differ only in
+how the weight is built.
 
 The recursive route evaluates the same functional as the brute force: an
 observable whose deepest factors sit at level m is contracted from level m
@@ -19,10 +26,9 @@ level m.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .boundary import Branch, BoundarySolution, solve_branch
 from .errors import DomainError, ResourceLimitError
@@ -38,6 +44,9 @@ from .linalg import (
 )
 from .model_ops import PAULI, ModelParams, pauli, vertex_channel, vertex_operator
 from .tree import ROOT, TreeCoord, ball_vertices, canonical_key, concat, level_vertices, successors
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 MAX_DENSE_SITES = 7  # dims beyond 2^7 = 128 are refused on the dense route
 MAX_SPARSE_SITES = 15
@@ -113,6 +122,8 @@ class Observable:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Observable":
+        if not isinstance(doc, Mapping) or "terms" not in doc:
+            raise DomainError("observable JSON needs an object with a 'terms' list")
         terms = []
         for raw in doc["terms"]:
             coeff = raw.get("coeff", 1.0)
@@ -120,6 +131,8 @@ class Observable:
                 coeff = complex(coeff[0], coeff[1])
             factors = []
             for f in raw.get("factors", []):
+                if "site" not in f:
+                    raise DomainError("factor needs a 'site'")
                 site = TreeCoord(tuple(f["site"]))
                 if "pauli" in f:
                     mat = pauli(f["pauli"])
@@ -221,16 +234,20 @@ def weight_matrix(ctx: EvalContext, n: int) -> SiteOperator:
     return w
 
 
-def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
-    """Normalized trace of the depth-(n+1) weight against the embedded observable."""
-    _check_support(obs, n, ctx.params.k)
-    w = weight_matrix(ctx, n)
+def _trace_weight(w: SiteOperator, obs: Observable) -> complex:
+    """Normalized trace of a weight against the observable embedded on its sites."""
     total = 0j
     for term in obs.terms:
         fmap = term.factor_map
         emb = kron_chain([fmap.get(s, PAULI["I"]) for s in w.sites])
         total += term.coeff * normalized_trace(w.matrix @ emb)
     return total
+
+
+def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
+    """Normalized trace of the depth-(n+1) weight against the embedded observable."""
+    _check_support(obs, n, ctx.params.k)
+    return _trace_weight(weight_matrix(ctx, n), obs)
 
 
 def contract_vertex(ctx: EvalContext, a_root: np.ndarray, b_left: np.ndarray, b_right: np.ndarray) -> np.ndarray:
@@ -282,6 +299,8 @@ def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
 
 def _sparse_embed(matrix: np.ndarray, slots: Sequence[int], nsites: int) -> sparse.csr_matrix:
     """Sparse embedding of a small operator at the given register slots."""
+    import scipy.sparse as sparse
+
     mat = np.asarray(matrix, dtype=complex)
     m = mat.shape[0].bit_length() - 1
     rr, cc = np.nonzero(mat)
@@ -307,6 +326,8 @@ def _sparse_embed(matrix: np.ndarray, slots: Sequence[int], nsites: int) -> spar
 
 
 def _sparse_diag_chain(per_site: Sequence[np.ndarray]) -> sparse.csr_matrix:
+    import scipy.sparse as sparse
+
     diag = np.array([1.0 + 0j])
     for m in per_site:
         diag = np.kron(diag, np.diagonal(m))
@@ -333,28 +354,52 @@ def _sparse_kn(ctx: EvalContext, n: int) -> tuple[sparse.csr_matrix, tuple[TreeC
     return out
 
 
-def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
-    """The brute-force functional via sparse algebra; reaches depth n = 2.
+def reduced_weight(ctx: EvalContext, n: int) -> SiteOperator:
+    """The sparse weight K*K of the (n+1)-ball, reduced to the inner n-ball.
 
-    Identical in value to eval_bruteforce where both are defined; used for
-    the level-1 compatibility check whose deep side needs the 15-site volume.
+    K is built literally, as in weight_matrix, and its boundary level n+1 is
+    traced out with the normalized partial trace.  A column index of K holds
+    the inner bits high and the boundary bits low.  Grouping K's nonzeros by
+    (row, boundary bits) gives a sparse S with one column per inner basis
+    state, and Tr_boundary(K*K) = S*S.  Only S*S is ever dense: 128x128 at
+    n = 2.
+    """
+    import scipy.sparse as sparse
+
+    key = ("sparse_rho", n)
+    if key in ctx._cache:
+        return ctx._cache[key]
+    k_op, sites = _sparse_kn(ctx, n)
+    inner = tuple(s for s in sites if s.level <= n)
+    n_in, n_bound = len(inner), len(sites) - len(inner)
+    # Swap the column bits to (boundary, inner): sorted within a row, each
+    # boundary state is then one contiguous run, i.e. one row of S.
+    swapped = (k_op.indices & (2**n_bound - 1)) << n_in | k_op.indices >> n_bound
+    k_swap = sparse.csr_matrix((k_op.data, swapped, k_op.indptr), shape=k_op.shape, copy=True)
+    k_swap.sort_indices()
+    rows = np.repeat(np.arange(k_op.shape[0], dtype=np.int64), np.diff(k_op.indptr))
+    groups = rows << n_bound | k_swap.indices >> n_in
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    s_op = sparse.csr_matrix(
+        (k_swap.data, k_swap.indices & (2**n_in - 1), np.append(starts, groups.size)),
+        shape=(starts.size, 2**n_in),
+    )
+    w = SiteOperator(inner, (s_op.conj().T @ s_op).toarray() / 2**n_bound)
+    ctx._cache[key] = w
+    return w
+
+
+def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
+    """The brute-force functional on the (n+1)-ball via sparse algebra; reaches n = 2.
+
+    Reduce, then trace: the observable lives on the n-ball, so its value is
+    the normalized trace against the reduced weight (reduced_weight, cached
+    per context and depth), a 128x128 product at n = 2.  Identical in value
+    to eval_bruteforce where both are defined; used for the level-1
+    compatibility check whose deep side needs the 15-site volume.
     """
     _check_support(obs, n, ctx.params.k)
-    k_op, sites = _sparse_kn(ctx, n)
-    nsites = len(sites)
-    pos = {s: i for i, s in enumerate(sites)}
-    k_conj = ctx._cache.setdefault(("sparse_k_conj", n), k_op.conj())
-    total = 0j
-    for term in obs.terms:
-        if term.factors:
-            small = kron_chain([m for _, m in term.factors])
-            slots = [pos[s] for s, _ in term.factors]
-            b = _sparse_embed(small, slots, nsites)
-            prod = k_op @ b
-        else:
-            prod = k_op
-        total += term.coeff * complex(k_conj.multiply(prod).sum()) / 2**nsites
-    return total
+    return _trace_weight(reduced_weight(ctx, n), obs)
 
 
 def random_product_observable(rng: np.random.Generator, sites: Iterable[TreeCoord]) -> Observable:

@@ -20,7 +20,6 @@ from cayley_qmc.analysis import (
     quasi_gap,
     series_matrix,
     transfer_series,
-    worker_count,
 )
 from cayley_qmc.boundary import Branch, solve_ordered
 from cayley_qmc.errors import DomainError, SingularParameterError
@@ -223,20 +222,3 @@ def test_phase_scan_flags_singular_rows():
     assert flagged and all(math.isnan(r.delta) for r in flagged)
     assert all(r.j == r.j0 for r in flagged)
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("QMC_TREE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("QMC_TREE_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("QMC_TREE_THREADS", "zero")
-    with pytest.raises(DomainError):
-        worker_count()
-
-
-def test_phase_scan_parallel_matches_serial():
-    serial = phase_diagram_scan(-1.0, 1.0, 0.2, 1.0, 0.7, 4, workers=1)
-    threaded = phase_diagram_scan(-1.0, 1.0, 0.2, 1.0, 0.7, 4, workers=3)
-    for a, b in zip(serial, threaded):
-        assert (a.j, a.j0, a.classification, a.threshold) == (b.j, b.j0, b.classification, b.threshold)
-        assert a.delta == b.delta or (math.isnan(a.delta) and math.isnan(b.delta))

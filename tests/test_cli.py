@@ -189,3 +189,30 @@ def test_json_rendering_17g():
     parsed = json.loads(text)
     assert parsed["x"] == 1 / 3
     assert cli.render_json(float("nan")) == "null"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--j0", "nan", "--j", "0.5", "--beta", "0.8"],
+        ["solve", "--j0", "1", "--j", "inf", "--beta", "0.8"],
+        ["coeffs", "--j0", "1", "--j", "0.5", "--beta", "inf"],
+    ],
+)
+def test_non_finite_parameters_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error:")
+
+
+@pytest.mark.parametrize("text", ["{not json", json.dumps({"factors": []}), json.dumps([1, 2])])
+def test_evaluate_malformed_observable_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "obs.json"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, ["evaluate", "--observable", str(path), "--branch", "plus", "--j0", "1", "--j", "0", "--beta", "1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error:")

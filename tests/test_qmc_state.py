@@ -18,6 +18,7 @@ from cayley_qmc.qmc_state import (
     eval_sparse,
     multiply_observables,
     random_product_observable,
+    reduced_weight,
     translate_observable,
     weight_matrix,
 )
@@ -200,6 +201,29 @@ def test_sparse_depth_two_matches_recursive(ctx_plus, rng):
         assert abs(eval_sparse(ctx_plus, obs, 2) - eval_recursive(ctx_plus, obs)) < 1e-10
 
 
+def test_reduced_weight_hermitian_and_normalized(ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
+    for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
+        for n in (0, 1, 2):
+            w = reduced_weight(ctx, n)
+            assert w.sites == tuple(ball_vertices(n, 2))
+            assert np.max(np.abs(w.matrix - dagger(w.matrix))) < 1e-12
+            assert abs(normalized_trace(w.matrix) - 1) < 1e-12
+
+
+def test_sparse_multi_term_matches_recursive(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
+    sites = ball_vertices(2, 2)
+    for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
+        for _ in range(3):
+            terms = []
+            for size in (1, 3, 7):
+                picked = [sites[i] for i in sorted(rng.choice(len(sites), size=size, replace=False))]
+                coeff = complex(rng.normal(), rng.normal())
+                term = random_product_observable(rng, picked).terms[0]
+                terms.append(ObservableTerm(coeff, term.factors))
+            obs = Observable(tuple(terms) + (ObservableTerm(0.5, ()),))
+            assert abs(eval_sparse(ctx, obs, 2) - eval_recursive(ctx, obs)) < 1e-10
+
+
 def test_sparse_guard(ctx_plus):
     with pytest.raises(ResourceLimitError):
         eval_sparse(ctx_plus, Observable.identity(), 3)
@@ -219,6 +243,7 @@ def test_compatibility_solved_and_corrupted(ctx_plus):
     )
     bad = EvalContext(params=ORDERED_POINT, solution=corrupted)
     assert compatibility_residual(bad, 0, 3) > 0.01
+    assert compatibility_residual(bad, 1, 3) > 0.01
 
 
 def test_trivial_product_state_compatibility():
