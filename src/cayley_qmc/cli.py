@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -76,6 +77,14 @@ def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain decimals such as -0.3 for negative values;
+        # -1e-05 or -inf would otherwise read as an unknown option.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message: str) -> None:  # usage errors exit 64, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
@@ -345,6 +354,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return DOMAIN_EXIT
     except FileNotFoundError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return DOMAIN_EXIT
+    except OverflowError as exc:
+        print(f"domain error: couplings times beta overflow a float ({exc})", file=sys.stderr)
         return DOMAIN_EXIT
     _emit(text, args.out)
     return status

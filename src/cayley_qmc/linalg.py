@@ -109,8 +109,7 @@ def partial_trace_positions(matrix: np.ndarray, keep: Sequence[int]) -> np.ndarr
 class SiteOperator:
     """A dense operator together with the ordered sites it acts on.
 
-    Factor order always matches the canonical volume order; use `of` to
-    build from an arbitrary site order.
+    Factor order always matches the canonical volume order.
     """
 
     sites: tuple[TreeCoord, ...]
@@ -121,21 +120,6 @@ class SiteOperator:
             raise DomainError("sites must be distinct")
         if _n_sites(self.matrix) != len(self.sites):
             raise DomainError("matrix dimension does not match the site count")
-
-    @classmethod
-    def of(cls, sites: Sequence[TreeCoord], matrix: np.ndarray) -> "SiteOperator":
-        """Build, permuting tensor factors into canonical site order."""
-        sites = tuple(sites)
-        order = sorted(range(len(sites)), key=lambda p: canonical_key(sites[p]))
-        if order == list(range(len(sites))):
-            return cls(sites, np.asarray(matrix, dtype=complex))
-        slot_of = [0] * len(sites)
-        for new_slot, p in enumerate(order):
-            slot_of[p] = new_slot
-        return cls(
-            tuple(sites[p] for p in order),
-            permute_sites(np.asarray(matrix, dtype=complex), slot_of),
-        )
 
 
 def normalized_partial_trace(a: SiteOperator, keep: Iterable[TreeCoord]) -> SiteOperator:

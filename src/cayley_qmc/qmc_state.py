@@ -2,17 +2,17 @@
 
 Three routes coexist on purpose:
 
-* a dense brute force that literally builds the weight matrix of the volume
-  (guarded at 7 sites, i.e. the two-level ball);
-* an exact sparse variant of the same formula that reaches the three-level
-  ball (15 sites): it builds the literal sparse K once per context and depth,
-  reduces K*K to the inner sites by tracing out the boundary level, and then
-  evaluates every observable against that weight, 128x128 at the 15-site
-  ball, so no dense object beyond 128x128 is ever built;
+* the literal dense reference, which builds the weight matrix K*K of the
+  volume as written (guarded at 7 sites, i.e. the two-level ball);
+* the outward reduced oracle, which builds the same weight already reduced
+  to the inner ball, Tr_{level n+1}(K*K), by conjugating outward from the
+  root and tracing out each boundary pair as soon as no later factor acts on
+  it; it reaches the three-level ball (15 sites) with nothing larger than
+  128x128;
 * a recursive level-by-level contraction through the per-vertex conditional
   expectation, valid at any depth.
 
-Both brute-force routes end in the same step, the normalized trace of a
+Both finite-volume routes end in the same step, the normalized trace of a
 site-labelled weight against the embedded observable; they differ only in
 how the weight is built.
 
@@ -26,7 +26,7 @@ level m.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,11 +45,8 @@ from .linalg import (
 from .model_ops import PAULI, ModelParams, pauli, vertex_channel, vertex_operator
 from .tree import ROOT, TreeCoord, ball_vertices, canonical_key, concat, level_vertices, successors
 
-if TYPE_CHECKING:
-    import scipy.sparse as sparse
-
 MAX_DENSE_SITES = 7  # dims beyond 2^7 = 128 are refused on the dense route
-MAX_SPARSE_SITES = 15
+MAX_REDUCED_DEPTH = 2  # the 15-site ball, reduced to its 7 inner sites
 
 
 @dataclass(frozen=True)
@@ -240,8 +237,8 @@ def _trace_weight(w: SiteOperator, obs: Observable) -> complex:
     for term in obs.terms:
         fmap = term.factor_map
         emb = kron_chain([fmap.get(s, PAULI["I"]) for s in w.sites])
-        total += term.coeff * normalized_trace(w.matrix @ emb)
-    return total
+        total += term.coeff * np.einsum("ij,ji->", w.matrix, emb) / emb.shape[0]
+    return complex(total)
 
 
 def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
@@ -297,106 +294,52 @@ def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
     return normalized_trace(ctx.omega0 @ values[ROOT])
 
 
-def _sparse_embed(matrix: np.ndarray, slots: Sequence[int], nsites: int) -> sparse.csr_matrix:
-    """Sparse embedding of a small operator at the given register slots."""
-    import scipy.sparse as sparse
-
-    mat = np.asarray(matrix, dtype=complex)
-    m = mat.shape[0].bit_length() - 1
-    rr, cc = np.nonzero(mat)
-    vals = mat[rr, cc]
-    bitpos = [nsites - 1 - s for s in slots]
-
-    def scatter(idx: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(idx, dtype=np.int64)
-        for t in range(m):
-            out |= ((idx >> (m - 1 - t)) & 1) << bitpos[t]
-        return out
-
-    rest = [b for b in range(nsites) if b not in bitpos]
-    combos = np.arange(2 ** len(rest), dtype=np.int64)
-    base = np.zeros_like(combos)
-    for t, b in enumerate(rest):
-        base |= ((combos >> t) & 1) << b
-    rows = (base[:, None] | scatter(rr.astype(np.int64))[None, :]).ravel()
-    cols = (base[:, None] | scatter(cc.astype(np.int64))[None, :]).ravel()
-    data = np.tile(vals, combos.size)
-    dim = 2**nsites
-    return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-
-
-def _sparse_diag_chain(per_site: Sequence[np.ndarray]) -> sparse.csr_matrix:
-    import scipy.sparse as sparse
-
-    diag = np.array([1.0 + 0j])
-    for m in per_site:
-        diag = np.kron(diag, np.diagonal(m))
-    return sparse.diags(diag).tocsr()
-
-
-def _sparse_kn(ctx: EvalContext, n: int) -> tuple[sparse.csr_matrix, tuple[TreeCoord, ...]]:
-    key = ("sparse_k", n)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    sites = ball_vertices(n + 1, ctx.params.k)
-    if len(sites) > MAX_SPARSE_SITES:
-        raise ResourceLimitError(f"sparse weight on {len(sites)} sites exceeds the {MAX_SPARSE_SITES}-site guard")
-    nsites = len(sites)
-    pos = {s: i for i, s in enumerate(sites)}
-    k_op = _sparse_diag_chain([ctx.omega0_sqrt if s.is_root() else PAULI["I"] for s in sites])
-    for m in range(n + 1):
-        for x in level_vertices(m, ctx.params.k):
-            slots = [pos[x]] + [pos[c] for c in successors(x, ctx.params.k)]
-            k_op = (k_op @ _sparse_embed(ctx.vertex, slots, nsites)).tocsr()
-    k_op = (k_op @ _sparse_diag_chain([ctx.h_sqrt if s.level == n + 1 else PAULI["I"] for s in sites])).tocsr()
-    out = (k_op, tuple(sites))
-    ctx._cache[key] = out
-    return out
-
-
 def reduced_weight(ctx: EvalContext, n: int) -> SiteOperator:
-    """The sparse weight K*K of the (n+1)-ball, reduced to the inner n-ball.
+    """The weight K*K of the (n+1)-ball, reduced to the inner n-ball; reaches n = 2.
 
-    K is built literally, as in weight_matrix, and its boundary level n+1 is
-    traced out with the normalized partial trace.  A column index of K holds
-    the inner bits high and the boundary bits low.  Grouping K's nonzeros by
-    (row, boundary bits) gives a sparse S with one column per inner basis
-    state, and Tr_boundary(K*K) = S*S.  Only S*S is ever dense: 128x128 at
-    n = 2.
+    Built outward from the root instead of from K: starting at omega0, every
+    vertex x in K's order conjugates the weight, X -> A_x* (X x 1 x 1) A_x on
+    (x, x1, x2), its children joining at the end of the ball order.  At level
+    n the factor is A_x (1 x h^{1/2} x h^{1/2}) and x's two boundary children
+    are traced out (normalized) right away, which is exact because no later
+    factor acts on them; nothing uses the fixed point.  Each step is a small
+    superoperator on x's slot, and the largest object is the 128x128 result
+    at n = 2.  Refuses n >= 3.
     """
-    import scipy.sparse as sparse
-
-    key = ("sparse_rho", n)
+    if n < 0:
+        raise DomainError(f"depth must be >= 0, got {n}")
+    if n > MAX_REDUCED_DEPTH:
+        raise ResourceLimitError(
+            f"reduced weight of the {2 ** (n + 2) - 1}-site ball exceeds the "
+            f"{2 ** (MAX_REDUCED_DEPTH + 2) - 1}-site guard"
+        )
+    key = ("reduced_weight", n)
     if key in ctx._cache:
         return ctx._cache[key]
-    k_op, sites = _sparse_kn(ctx, n)
-    inner = tuple(s for s in sites if s.level <= n)
-    n_in, n_bound = len(inner), len(sites) - len(inner)
-    # Swap the column bits to (boundary, inner): sorted within a row, each
-    # boundary state is then one contiguous run, i.e. one row of S.
-    swapped = (k_op.indices & (2**n_bound - 1)) << n_in | k_op.indices >> n_bound
-    k_swap = sparse.csr_matrix((k_op.data, swapped, k_op.indptr), shape=k_op.shape, copy=True)
-    k_swap.sort_indices()
-    rows = np.repeat(np.arange(k_op.shape[0], dtype=np.int64), np.diff(k_op.indptr))
-    groups = rows << n_bound | k_swap.indices >> n_in
-    starts = np.flatnonzero(np.diff(groups, prepend=-1))
-    s_op = sparse.csr_matrix(
-        (k_swap.data, k_swap.indices & (2**n_in - 1), np.append(starts, groups.size)),
-        shape=(starts.size, 2**n_in),
-    )
-    w = SiteOperator(inner, (s_op.conj().T @ s_op).toarray() / 2**n_bound)
+    a = ctx.vertex.reshape(2, 4, 8)
+    step = np.einsum("aip,biq->abpq", a.conj(), a).reshape((2,) * 8)
+    a_h = (ctx.vertex @ kron_chain([PAULI["I"], ctx.h_sqrt, ctx.h_sqrt])).reshape(2, 4, 2, 4)
+    last = np.einsum("aipc,biqc->abpq", a_h.conj(), a_h) / 4
+    x, m = ctx.omega0, 1  # the weight as a tensor on its m sites, rows then columns
+    for p in range(2**n - 1):  # the vertices above level n, in ball order
+        x = np.tensordot(x, step, axes=([p, m + p], [0, 1]))
+        x = np.moveaxis(x, range(-6, 0), [p, m, m + 1, m + 2 + p, 2 * m + 2, 2 * m + 3])
+        m += 2
+    for p in range(2**n - 1, m):  # level n
+        x = np.tensordot(x, last, axes=([p, m + p], [0, 1]))
+        x = np.moveaxis(x, [-2, -1], [p, m + p])
+    w = SiteOperator(tuple(ball_vertices(n, ctx.params.k)), x.reshape(2**m, 2**m))
     ctx._cache[key] = w
     return w
 
 
 def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
-    """The brute-force functional on the (n+1)-ball via sparse algebra; reaches n = 2.
+    """The brute-force functional on the (n+1)-ball, traced against the reduced weight.
 
-    Reduce, then trace: the observable lives on the n-ball, so its value is
-    the normalized trace against the reduced weight (reduced_weight, cached
-    per context and depth), a 128x128 product at n = 2.  Identical in value
-    to eval_bruteforce where both are defined; used for the level-1
-    compatibility check whose deep side needs the 15-site volume.
+    The observable lives on the n-ball, so its value is the normalized trace
+    against reduced_weight (cached per context and depth).  Identical in
+    value to eval_bruteforce where both are defined; reaches the 15-site
+    volume (n = 2) that the level-1 compatibility check needs.
     """
     _check_support(obs, n, ctx.params.k)
     return _trace_weight(reduced_weight(ctx, n), obs)
@@ -413,8 +356,8 @@ def random_product_observable(rng: np.random.Generator, sites: Iterable[TreeCoor
 def compatibility_residual(ctx: EvalContext, n: int, trials: int, seed: int = 0) -> float:
     """Worst |phi^(n+1)(a) - phi^(n)(a)| over random product observables on the n-ball.
 
-    n = 0 compares the two dense volumes; n = 1 evaluates the deep side on the
-    sparse route (the 15-site volume exceeds the dense guard).
+    n = 0 compares the two dense volumes; n = 1 evaluates the deep side against
+    the reduced weight (the 15-site volume exceeds the dense guard).
     """
     if n not in (0, 1):
         raise ResourceLimitError(f"compatibility check supports n in {{0, 1}}, got {n}")

@@ -185,7 +185,7 @@ def test_clustering_limit_report(ctx_plus, ctx_minus):
 
 
 def test_marker_gap_numeric_at_depth_two(ctx_plus, ctx_minus):
-    # sparse brute force confirms the closed gap bound at the two-level ball
+    # the reduced oracle confirms the closed gap bound at the two-level ball
     from cayley_qmc.qmc_state import eval_sparse
 
     p = ctx_plus.params

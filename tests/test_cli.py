@@ -197,6 +197,7 @@ def test_json_rendering_17g():
         ["solve", "--j0", "nan", "--j", "0.5", "--beta", "0.8"],
         ["solve", "--j0", "1", "--j", "inf", "--beta", "0.8"],
         ["coeffs", "--j0", "1", "--j", "0.5", "--beta", "inf"],
+        ["solve", "--j0", "1", "--j", "-inf", "--beta", "0.8"],
     ],
 )
 def test_non_finite_parameters_exit_2(capsys, argv):
@@ -213,6 +214,31 @@ def test_evaluate_malformed_observable_exits_2(tmp_path, capsys, text):
     code, out, err = run_cli(
         capsys, ["evaluate", "--observable", str(path), "--branch", "plus", "--j0", "1", "--j", "0", "--beta", "1"]
     )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error:")
+
+
+def test_negative_exponent_notation_is_a_value(capsys):
+    base = ["solve", "--j0", "1", "--beta", "1"]
+    code, spaced, err = run_cli(capsys, base + ["--j", "-1e-05"])
+    assert code == 0, err
+    code, joined, _ = run_cli(capsys, base + ["--j=-1e-05"])
+    assert code == 0
+    assert spaced == joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--j0", "1", "--j", "0.3", "--beta", "400"],
+        ["coeffs", "--j0", "1", "--j", "0.3", "--beta", "400"],
+        ["phase-diagram", "--j-min", "-1", "--j-max", "1", "--j0-min", "0.2", "--j0-max", "1.2",
+         "--beta", "400", "--resolution", "4"],
+    ],
+)
+def test_overflowing_beta_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("domain error:")

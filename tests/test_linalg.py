@@ -44,12 +44,12 @@ def test_normalized_trace_examples():
 
 def test_partial_trace_examples():
     triple = kron_chain([np.eye(2)] * 3)
-    op = SiteOperator.of((ROOT, TreeCoord((1,)), TreeCoord((2,))), triple)
+    op = SiteOperator((ROOT, TreeCoord((1,)), TreeCoord((2,))), triple)
     reduced = normalized_partial_trace(op, {ROOT})
     assert reduced.sites == (ROOT,)
     assert np.allclose(reduced.matrix, np.eye(2))
 
-    zx = SiteOperator.of((ROOT, TreeCoord((1,))), kron(PAULI["Z"], PAULI["X"]))
+    zx = SiteOperator((ROOT, TreeCoord((1,))), kron(PAULI["Z"], PAULI["X"]))
     assert np.allclose(normalized_partial_trace(zx, {ROOT}).matrix, 0)
 
 
@@ -60,14 +60,14 @@ def test_partial_trace_factorized(rng):
 
 
 def test_partial_trace_unknown_site_rejected():
-    op = SiteOperator.of((ROOT,), np.eye(2))
+    op = SiteOperator((ROOT,), np.eye(2))
     with pytest.raises(DomainError):
         normalized_partial_trace(op, {TreeCoord((1,))})
 
 
 def test_partial_trace_composes(rng):
     m = crandn(rng, (8, 8))
-    op = SiteOperator.of((ROOT, TreeCoord((1,)), TreeCoord((2,))), m)
+    op = SiteOperator((ROOT, TreeCoord((1,)), TreeCoord((2,))), m)
     step = normalized_partial_trace(normalized_partial_trace(op, {ROOT, TreeCoord((1,))}), {ROOT})
     direct = normalized_partial_trace(op, {ROOT})
     assert np.allclose(step.matrix, direct.matrix, atol=1e-12)
@@ -90,13 +90,6 @@ def test_embed_noncontiguous():
     k = kron(PAULI["Z"], PAULI["X"])
     want = kron_chain([PAULI["Z"], np.eye(2), PAULI["X"]])
     assert np.allclose(embed_operator(k, [0, 2], 3), want)
-
-
-def test_site_operator_canonicalizes_order():
-    a, b = TreeCoord((1,)), TreeCoord((2,))
-    swapped = SiteOperator.of((b, a), kron(PAULI["X"], PAULI["Z"]))
-    assert swapped.sites == (a, b)
-    assert np.allclose(swapped.matrix, kron(PAULI["Z"], PAULI["X"]))
 
 
 def test_herm_exp_examples():

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cayley_qmc
 from cayley_qmc.analysis import E11, marker_expectation_closed
 from cayley_qmc.boundary import Branch, BoundarySolution
 from cayley_qmc.errors import DomainError, ResourceLimitError
-from cayley_qmc.linalg import dagger, normalized_trace
+from cayley_qmc.linalg import dagger, normalized_partial_trace, normalized_trace
 from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs
 from cayley_qmc.qmc_state import (
     EvalContext,
@@ -188,11 +195,16 @@ def test_cross_level_deviation_is_the_closed_form_transient(ctx_plus, ctx_disord
     assert abs(w1 - w2) < 1e-12  # the uniform branch is fully invariant
 
 
-def test_sparse_matches_dense(ctx_plus, rng):
-    for n in (0, 1):
-        for _ in range(3):
-            obs = random_product_observable(rng, ball_vertices(n, 2))
-            assert abs(eval_sparse(ctx_plus, obs, n) - eval_bruteforce(ctx_plus, obs, n)) < 1e-12
+def test_sparse_matches_dense(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
+    for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
+        for n in (0, 1):
+            literal = normalized_partial_trace(weight_matrix(ctx, n), ball_vertices(n, 2))
+            reduced = reduced_weight(ctx, n)
+            assert reduced.sites == literal.sites
+            assert np.max(np.abs(reduced.matrix - literal.matrix)) < 1e-12
+            for _ in range(3):
+                obs = random_product_observable(rng, ball_vertices(n, 2))
+                assert abs(eval_sparse(ctx, obs, n) - eval_bruteforce(ctx, obs, n)) < 1e-12
 
 
 def test_sparse_depth_two_matches_recursive(ctx_plus, rng):
@@ -222,6 +234,29 @@ def test_sparse_multi_term_matches_recursive(ctx_plus, ctx_minus, ctx_disordered
                 terms.append(ObservableTerm(coeff, term.factors))
             obs = Observable(tuple(terms) + (ObservableTerm(0.5, ()),))
             assert abs(eval_sparse(ctx, obs, 2) - eval_recursive(ctx, obs)) < 1e-10
+
+
+def test_oracle_runs_without_scipy():
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now fails
+        from cayley_qmc import Branch, EvalContext, ModelParams, acceptance
+        from cayley_qmc.qmc_state import eval_sparse, random_product_observable
+        from cayley_qmc.tree import ball_vertices
+        import numpy as np
+
+        ctx = EvalContext.create(ModelParams(1.0, 0.5, 0.8), Branch.ORDERED_PLUS)
+        obs = random_product_observable(np.random.default_rng(0), ball_vertices(2, 2))
+        assert np.isfinite(eval_sparse(ctx, obs, 2))
+        for result in (acceptance.criterion_compatibility(), acceptance.criterion_oracle_equivalence()):
+            assert result.passed, result
+        """
+    )
+    src = str(Path(cayley_qmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_sparse_guard(ctx_plus):
