@@ -12,6 +12,7 @@ from .boundary import (
     Classification,
     PhaseRegion,
     delta_theta,
+    ordered_xi,
     phase_region,
     solve_disordered,
     solve_ordered,
@@ -44,7 +45,6 @@ from .qmc_state import (
     Observable,
     ObservableTerm,
     compatibility_residual,
-    contract_vertex,
     correlation,
     eval_bruteforce,
     eval_recursive,
@@ -78,7 +78,6 @@ __all__ = [
     "ball_vertices",
     "compatibility_residual",
     "concat",
-    "contract_vertex",
     "correlation",
     "delta_theta",
     "eval_bruteforce",
@@ -86,6 +85,7 @@ __all__ = [
     "eval_sparse",
     "level_vertices",
     "operator_coeffs",
+    "ordered_xi",
     "pauli",
     "phase_region",
     "solve_disordered",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Branch, dd_threshold, delta_theta, phase_region, solve_ordered
+from .boundary import Branch, dd_threshold, delta_theta, ordered_xi, phase_region
 from .errors import DomainError, ModelInconsistencyError, SingularParameterError
 from .model_ops import ModelParams, operator_coeffs, transfer_coeffs
 from .qmc_state import EvalContext, Observable, correlation, eval_recursive, translate_observable
@@ -29,13 +29,6 @@ def lam(p: ModelParams) -> float:
     if c.c3 == 0:
         raise SingularParameterError("C3 = 0: level recursion undefined (j0 = 0)")
     return c.c1 / c.c3 - 0.5
-
-
-def _ordered_xi(p: ModelParams) -> tuple[float, float]:
-    pair = solve_ordered(p)
-    if pair is None:
-        raise DomainError(f"no ordered phase: Delta(theta) <= 0 at {p}")
-    return pair[0].xi0, pair[0].xi3
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ def transfer_series(p: ModelParams) -> TransferSeries:
     den = 3 * c.c3 - 2 * c.c1
     if c.c3 == 0 or abs(den) < 1e-14:
         raise SingularParameterError(f"degenerate series denominators (C3={c.c3!r}, 3C3-2C1={den!r})")
-    _, xi3 = _ordered_xi(p)
+    _, xi3 = ordered_xi(p)
     rho1_hat = c.c3**2 / den
     rho2_hat = 2 * c.c3 * (c.c3 - c.c1) / den
     rho1_check = 2 * c.c2 * c.c3**2 * xi3 / den
@@ -92,14 +85,14 @@ def transfer_series(p: ModelParams) -> TransferSeries:
 def series_matrix(p: ModelParams, branch: Branch) -> np.ndarray:
     """The 2x2 recursion matrix N acting on (hat, check) level vectors."""
     c = transfer_coeffs(p)
-    xi0, xi3 = _ordered_xi(p)
+    xi0, xi3 = ordered_xi(p)
     s = xi3 if branch is Branch.ORDERED_PLUS else -xi3
     return np.array([[c.c1 * xi0, c.c3 * s / 2], [c.c2 * s, 0.5]])
 
 
 def iterate_series(p: ModelParams, branch: Branch, n: int) -> tuple[float, float]:
     """n-fold application of the recursion matrix to the initial (1/xi0, 0)."""
-    xi0, _ = _ordered_xi(p)
+    xi0, _ = ordered_xi(p)
     vec = np.array([1 / xi0, 0.0])
     mat = series_matrix(p, branch)
     for _ in range(n):
@@ -127,11 +120,8 @@ def projector_expectation_closed(p: ModelParams, n: int, branch: Branch, project
     """
     if n < 0:
         raise DomainError(f"depth must be >= 0, got {n}")
-    delta = delta_theta(p)
-    if delta <= 0:
-        raise DomainError(f"no ordered phase: Delta(theta) = {delta!r} <= 0")
     c = transfer_coeffs(p)
-    xi0, xi3 = _ordered_xi(p)
+    xi0, xi3 = ordered_xi(p)
     aligned = (branch is Branch.ORDERED_PLUS) == (projector.upper() == "P")
     base = xi0 + xi3 if aligned else xi0 - xi3
     if base == 0.0:
@@ -155,7 +145,7 @@ def projector_limit_scan(j0: float, j: float, n: int, betas: list[float]) -> lis
 def _marker_coeffs(p: ModelParams, branch: Branch) -> tuple[float, float]:
     """(constant, lam-coefficient) of the closed marker expectation."""
     c = transfer_coeffs(p)
-    xi0, xi3 = _ordered_xi(p)
+    xi0, xi3 = ordered_xi(p)
     ts = transfer_series(p)
     if branch is Branch.ORDERED_PLUS:
         edge, drift = xi0 + xi3, c.c1 * xi0 + c.c2 * xi3
@@ -199,7 +189,7 @@ def quasi_gap(p: ModelParams) -> QuasiGap:
     i1 = abs(const_p - const_m)
     i2 = abs(coeff_p - coeff_m)
     c = transfer_coeffs(p)
-    _, xi3 = _ordered_xi(p)
+    _, xi3 = ordered_xi(p)
     displayed = c.c3 * xi3 * (2 * c.c2 + c.c3) / (3 * c.c3 - 2 * c.c1)
     scale = max(1.0, abs(i1))
     if abs(i1 - abs(displayed)) > 1e-12 * scale:
@@ -229,7 +219,7 @@ class ClusteringTransfer:
 
 def clustering_transfer(p: ModelParams, branch: Branch) -> ClusteringTransfer:
     c = transfer_coeffs(p)
-    xi0, xi3 = _ordered_xi(p)
+    xi0, xi3 = ordered_xi(p)
     # displayed signs belong to the h = xi0 - xi3 sz convention (minus branch)
     s = xi3 if branch is Branch.ORDERED_MINUS else -xi3
     if abs(c.c1 * xi0 - 1) < 1e-14 or c.c2 * s == 0:
@@ -277,7 +267,7 @@ def clustering_limit_report(ctx: EvalContext, f: np.ndarray, limit_depth: int = 
     p = ctx.params
     branch = ctx.solution.branch
     c = transfer_coeffs(p)
-    xi0, xi3 = _ordered_xi(p)
+    xi0, xi3 = ordered_xi(p)
     ct = clustering_transfer(p, branch)
     sz = np.diag([1.0, -1.0])
     g = ct.alpha1 * f + ct.alpha2 * (f @ sz + sz @ f) + ct.alpha3 * (sz @ f @ sz)

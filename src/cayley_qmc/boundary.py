@@ -144,11 +144,17 @@ def solve_disordered(p: ModelParams) -> BoundarySolution:
     return _solution(p, Branch.DISORDERED, alpha * eye, (1 / alpha) * eye, alpha=alpha)
 
 
-def solve_ordered(p: ModelParams) -> tuple[BoundarySolution, BoundarySolution] | None:
-    """The pair (h, h') = xi0*1 +- xi3*sz, present exactly when Delta > 0."""
+def ordered_xi(p: ModelParams) -> tuple[float, float]:
+    """The ordered constants xi0 = 1/C3 and xi3 = sqrt(Delta)/C3, by arithmetic alone.
+
+    Refuses Delta <= 0 (no ordered phase) and C3 <= 0 (j0 <= 0) with a
+    DomainError, and an indefinite pair (xi3 > xi0, the |J| > J0 regime) with
+    SolutionNotPositiveError.  Builds no operator; solve_ordered checks the
+    resulting states numerically.
+    """
     delta = delta_theta(p)
     if delta <= 0:
-        return None
+        raise DomainError(f"no ordered phase: Delta(theta) = {delta!r} <= 0 at {p}")
     c = transfer_coeffs(p)
     if c.c3 <= 0:
         raise DomainError(
@@ -160,6 +166,14 @@ def solve_ordered(p: ModelParams) -> tuple[BoundarySolution, BoundarySolution] |
         raise SolutionNotPositiveError(
             f"Delta = {delta!r} > 1: formal solutions xi0 +- xi3 sz are indefinite (|J| > J0 regime)"
         )
+    return xi0, xi3
+
+
+def solve_ordered(p: ModelParams) -> tuple[BoundarySolution, BoundarySolution] | None:
+    """The pair (h, h') = xi0*1 +- xi3*sz, present exactly when Delta > 0."""
+    if delta_theta(p) <= 0:
+        return None
+    xi0, xi3 = ordered_xi(p)
     eye, sz = np.eye(2, dtype=complex), PAULI["Z"]
     omega0 = (1 / xi0) * eye
     plus = _solution(p, Branch.ORDERED_PLUS, xi0 * eye + xi3 * sz, omega0, xi0=xi0, xi3=xi3)

@@ -153,7 +153,9 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """The unique PSD square root of a PSD matrix.
 
     Eigenvalues in [-1e-12, 0) are clamped to zero; anything more negative is
-    a domain error.
+    a domain error.  The residual |R^2 - a| must stay within 1e-10 max(1, |a|),
+    so a large matrix is held to a relative bound and an O(1) one to the
+    absolute one.  It is computed on a / max|a_ij|, whose norm cannot overflow.
     """
     a = _require_hermitian(a)
     w, v = np.linalg.eigh(a)
@@ -161,9 +163,17 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
         raise DomainError(f"matrix is not PSD: smallest eigenvalue {np.min(w):.3e}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
     root = (root + dagger(root)) / 2
-    residual = np.linalg.norm(root @ root - a)
-    if residual > SQRT_RESIDUAL_TOL:
-        raise ModelInconsistencyError(f"square-root residual {residual:.3e} exceeds {SQRT_RESIDUAL_TOL:g}")
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if scale > 0:
+        unit = a / scale
+        unit_root = root / np.sqrt(scale)
+        residual = float(np.linalg.norm(unit_root @ unit_root - unit))  # |R^2 - a| / scale
+        # residual <= tol max(1/scale, |a|/scale), without dividing by a tiny scale
+        if not (residual * scale <= SQRT_RESIDUAL_TOL or residual <= SQRT_RESIDUAL_TOL * np.linalg.norm(unit)):
+            raise ModelInconsistencyError(
+                f"square-root residual {residual:.3e} relative to max|a_ij| = {scale:.3e} "
+                f"exceeds {SQRT_RESIDUAL_TOL:g} max(1, |a|)"
+            )
     return root
 
 

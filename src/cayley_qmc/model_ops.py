@@ -9,6 +9,7 @@ oracle next to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,11 +138,13 @@ def _require_order_two(p: ModelParams) -> None:
         raise DomainError(f"model operators are defined for tree order 2, got k={p.k}")
 
 
+@functools.lru_cache(maxsize=256)
 def vertex_operator(p: ModelParams) -> np.ndarray:
     """The canonical 8x8 vertex operator A = K_{u,(u,1)} K_{u,(u,2)} L_{(u,1),(u,2)}.
 
     Tensor order is (parent, child 1, child 2); the bond factors are the
-    exponentials, multiplied in the stated order.
+    exponentials, multiplied in the stated order.  Cached per (frozen)
+    parameter set, so the array is read-only: every caller shares it.
     """
     _require_order_two(p)
     bond = ising_bond(p)
@@ -149,7 +152,9 @@ def vertex_operator(p: ModelParams) -> np.ndarray:
     k1 = kron(bond, eye)
     k2 = _swap_middle(kron(bond, eye))
     l12 = kron(eye, xy_bond(p))
-    return k1 @ k2 @ l12
+    a = k1 @ k2 @ l12
+    a.setflags(write=False)
+    return a
 
 
 def _swap_middle(a: np.ndarray) -> np.ndarray:

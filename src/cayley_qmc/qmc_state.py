@@ -18,13 +18,20 @@ how the weight is built.
 
 The recursive route evaluates the same functional as the brute force: an
 observable whose deepest factors sit at level m is contracted from level m
-down, each deepest vertex absorbing the boundary pair (h, h) of its children;
-for diagonal factors this coincides with sandwiching h^{1/2} directly at
-level m.
+down, each vertex below which the observable acts on nothing absorbing the
+boundary pair (h, h) of its children; for diagonal factors this coincides
+with sandwiching h^{1/2} directly at level m.  The per-vertex channel is a
+4x4x4x4 tensor built once per context (channel_tensor).  Vertices are
+(level, index) integers; each level's new subtrees are contracted in one
+batched einsum, and equal subtrees (same factors below, e.g. a ball
+projector's) are interned and contracted once, so a level-uniform observable
+costs O(depth) and a product with nothing shared costs one row per active
+vertex.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -42,7 +49,7 @@ from .linalg import (
     normalized_trace,
     psd_sqrt,
 )
-from .model_ops import PAULI, ModelParams, pauli, vertex_channel, vertex_operator
+from .model_ops import PAULI, ModelParams, pauli, vertex_operator
 from .tree import ROOT, TreeCoord, ball_vertices, canonical_key, concat, level_vertices, successors
 
 MAX_DENSE_SITES = 7  # dims beyond 2^7 = 128 are refused on the dense route
@@ -247,51 +254,97 @@ def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
     return _trace_weight(weight_matrix(ctx, n), obs)
 
 
-def contract_vertex(ctx: EvalContext, a_root: np.ndarray, b_left: np.ndarray, b_right: np.ndarray) -> np.ndarray:
-    """One vertex of the conditional expectation: Tr_parent(A (a x b1 x b2) A*)."""
-    return vertex_channel(ctx.vertex, a_root, b_left, b_right)
+def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:
+    """The one-vertex channel as a trilinear tensor, and its contraction with (h, h).
+
+    T[(p,q),(a,a'),(b,b'),(c,c')] = 1/4 sum_ij A[p,i,j,a,b,c] conj(A[q,i,j,a',b',c'])
+    maps the flattened 2x2 inputs (root, child 1, child 2) to the flattened
+    Tr_children(A (root x b1 x b2) A*), normalized, as model_ops.vertex_channel
+    does.  T_h[(p,q),(a,a')] is T with both children set to h: the value of a
+    vertex whose subtrees the observable does not touch.  Built on first use
+    and cached on the context.
+    """
+    if "channel" not in ctx._cache:
+        a = ctx.vertex.reshape((2,) * 6)
+        t = np.einsum("pijabc,qijxyz->pqaxbycz", a, a.conj()).reshape(4, 4, 4, 4) / 4
+        h = ctx.h.reshape(4)
+        ctx._cache["channel"] = t, np.einsum("oabc,b,c->oa", t, h, h)
+    return ctx._cache["channel"]
 
 
 def eval_recursive(ctx: EvalContext, obs: Observable) -> complex:
     """Evaluate by contracting the tree level by level toward the root.
 
-    Per term, vertices at the deepest support level m absorb the solved
-    boundary pair (h, h) of their children; inner levels contract the plain
-    conditional expectation; untouched subtrees contribute h through the
-    fixed point and never get built.
+    Per term, only the ancestors of the support are built.  A vertex whose
+    children lie outside the support absorbs the solved boundary pair (h, h)
+    of its children; the others contract their factor with their children's
+    values; untouched subtrees contribute h through the fixed point and never
+    get built.
     """
     total = 0j
     for term in obs.terms:
         total += term.coeff * _eval_term(ctx, term)
+    if not cmath.isfinite(total):
+        raise DomainError(f"the value {total} is not finite: a factor or the state's weights overflow a float")
     return total
 
 
+_EYE_BYTES = PAULI["I"].tobytes()
+_UNTOUCHED = 0  # the subtree id of a child outside the support: its value is h
+
+
+def _site_index(site: TreeCoord) -> int:
+    """The vertex's position within its level: its digits minus one, read in binary."""
+    index = 0
+    for d in site.digits:
+        if d > 2:
+            raise DomainError(f"site {site} is not a vertex of the order-2 tree")
+        index = 2 * index + d - 1
+    return index
+
+
 def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
-    fmap = term.factor_map
-    for site in fmap:
-        if any(d > ctx.params.k for d in site.digits):
-            raise DomainError(f"site {site} is not a vertex of the order-{ctx.params.k} tree")
-    m = term.depth
-    active: list[set[TreeCoord]] = [set() for _ in range(m + 1)]
-    for site in fmap:
-        cur = site
-        while True:
-            active[cur.level].add(cur)
-            if cur.is_root():
-                break
-            cur = cur.parent()
-    active[0].add(ROOT)
-    eye = PAULI["I"]
-    values: dict[TreeCoord, np.ndarray] = {}
-    for x in active[m]:
-        values[x] = contract_vertex(ctx, fmap.get(x, eye), ctx.h, ctx.h)
-    for level in range(m - 1, -1, -1):
-        for x in active[level]:
-            left, right = successors(x, ctx.params.k)
-            values[x] = contract_vertex(
-                ctx, fmap.get(x, eye), values.get(left, ctx.h), values.get(right, ctx.h)
-            )
-    return normalized_trace(ctx.omega0 @ values[ROOT])
+    """One product term, contracted one level at a time from its deepest factor up.
+
+    Vertices are (level, index) integers.  Each subtree is interned by (factor
+    bytes, left subtree id, right subtree id), so equal subtrees, such as those
+    of a ball projector, are contracted once; a level's new subtrees are
+    contracted together in one einsum.  einsum gives each row the bits it would
+    give that row alone, so a shared subtree carries the very value an
+    unshared evaluation computes.
+    """
+    t, t_h = channel_tensor(ctx)
+    depth = term.depth
+    factors: list[dict[int, bytes]] = [{0: _EYE_BYTES}] + [{} for _ in range(depth)]
+    for site, mat in term.factors:
+        factors[site.level][_site_index(site)] = mat.tobytes()
+    values = [ctx.h.reshape(4)]  # subtree id -> its value, flattened
+    ids: dict[tuple[bytes, int, int], int] = {}
+    below: dict[int, int] = {}  # index -> subtree id, one level down
+    for level in range(depth, -1, -1):
+        here = factors[level]
+        keys = {
+            i: (here.get(i, _EYE_BYTES), below.get(2 * i, _UNTOUCHED), below.get(2 * i + 1, _UNTOUCHED))
+            for i in here.keys() | {j >> 1 for j in below}
+        }
+        new = [k for k in dict.fromkeys(keys.values()) if k not in ids]
+        leaves = [k for k in new if k[1] == k[2] == _UNTOUCHED]
+        inner = [k for k in new if not k[1] == k[2] == _UNTOUCHED]
+        if leaves:
+            values.extend(np.einsum("oa,na->no", t_h, _stack(k[0] for k in leaves)))
+        if inner:
+            left = np.array([values[k[1]] for k in inner])
+            right = np.array([values[k[2]] for k in inner])
+            values.extend(np.einsum("oabc,na,nb,nc->no", t, _stack(k[0] for k in inner), left, right))
+        for k in leaves + inner:
+            ids[k] = len(ids) + 1
+        below = {i: ids[k] for i, k in keys.items()}
+    return normalized_trace(ctx.omega0 @ values[below[0]].reshape(2, 2))
+
+
+def _stack(factors: Iterable[bytes]) -> np.ndarray:
+    """Flattened 2x2 factors, one row each, from their bytes."""
+    return np.frombuffer(b"".join(factors), dtype=complex).reshape(-1, 4)
 
 
 def reduced_weight(ctx: EvalContext, n: int) -> SiteOperator:

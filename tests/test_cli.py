@@ -4,6 +4,9 @@ import math
 import pytest
 
 from cayley_qmc import acceptance, cli
+from cayley_qmc.analysis import marker_expectation_closed
+from cayley_qmc.boundary import Branch
+from cayley_qmc.model_ops import ModelParams
 
 
 def run_cli(capsys, argv):
@@ -207,7 +210,13 @@ def test_non_finite_parameters_exit_2(capsys, argv):
     assert err.startswith("domain error:")
 
 
-@pytest.mark.parametrize("text", ["{not json", json.dumps({"factors": []}), json.dumps([1, 2])])
+NAN_FACTOR = '{"terms": [{"factors": [{"site": [1], "matrix": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}]}]}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", json.dumps({"factors": []}), json.dumps([1, 2]), pytest.param(NAN_FACTOR, id="nan-factor")],
+)
 def test_evaluate_malformed_observable_exits_2(tmp_path, capsys, text):
     path = tmp_path / "obs.json"
     path.write_text(text)
@@ -242,3 +251,33 @@ def test_overflowing_beta_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("domain error:")
+
+
+def _evaluate_z_at_1_2(tmp_path, capsys, beta):
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps({"terms": [{"coeff": [1.0, 0.0], "factors": [{"site": [1, 2], "pauli": "Z"}]}]}))
+    argv = ["evaluate", "--observable", str(path), "--branch", "plus", "--j0", "1", "--j", "0.3", "--beta", beta]
+    return run_cli(capsys, argv)
+
+
+def _z_closed(beta):
+    return 2 * marker_expectation_closed(ModelParams(1.0, 0.3, beta), 2, Branch.ORDERED_PLUS) - 1
+
+
+def test_evaluate_low_temperature_marker(tmp_path, capsys):
+    # omega0 grows like e^{4 J0 beta}: its square root is checked relative to its size
+    code, out, err = _evaluate_z_at_1_2(tmp_path, capsys, "5")
+    assert code == 0, err
+    assert abs(json.loads(out)["value"][0] - _z_closed(5.0)) < 1e-10
+
+
+def test_evaluate_never_prints_a_wrong_value_at_beta_150(tmp_path, capsys):
+    # The closed form overflows a float at beta = 150 (C3^2 ~ e^1200); it has
+    # reached its low-temperature limit 1 to double precision by beta = 40.
+    assert abs(_z_closed(40.0) - 1) < 1e-12
+    code, out, err = _evaluate_z_at_1_2(tmp_path, capsys, "150")
+    assert code in (0, 2), err
+    if code == 0:
+        assert abs(json.loads(out)["value"][0] - 1) < 1e-10
+    else:
+        assert out == "" and err.startswith("domain error:")

@@ -133,6 +133,10 @@ def test_psd_sqrt_squares_back(rng):
     a = m @ dagger(m)
     root = psd_sqrt(a)
     assert np.linalg.norm(root @ root - a) < 1e-10
+    # large matrices (omega0 grows like e^{4 J0 beta}) are held to a relative residual
+    for scale in (1e8, 1e260):
+        root = psd_sqrt(scale * a) / math.sqrt(scale)
+        assert np.linalg.norm(root @ root - a) < 1e-10 * np.linalg.norm(a)
 
 
 def test_psd_sqrt_rejects_negative():

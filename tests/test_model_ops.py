@@ -98,6 +98,14 @@ def test_vertex_operator_invertible_and_bounded():
         assert sv[0] <= math.exp(2 * p.j0 * p.beta + abs(p.j) * p.beta) * (1 + 1e-12)
 
 
+def test_vertex_operator_is_cached_read_only():
+    p = ModelParams(1.0, 0.5, 0.8)
+    a = vertex_operator(p)
+    assert vertex_operator(ModelParams(1.0, 0.5, 0.8)) is a
+    with pytest.raises(ValueError):
+        a[0, 0] = 0
+
+
 def test_vertex_operator_rejects_other_orders():
     with pytest.raises(DomainError):
         vertex_operator(ModelParams(1.0, 0.0, 1.0, k=3))

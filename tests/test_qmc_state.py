@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -6,19 +7,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cayley_qmc
-from cayley_qmc.analysis import E11, marker_expectation_closed
-from cayley_qmc.boundary import Branch, BoundarySolution
+from cayley_qmc.analysis import (
+    E11,
+    marker_expectation_closed,
+    projector_expectation_closed,
+    projector_observable,
+)
+from cayley_qmc.boundary import Branch, BoundarySolution, delta_theta
 from cayley_qmc.errors import DomainError, ResourceLimitError
 from cayley_qmc.linalg import dagger, normalized_partial_trace, normalized_trace
-from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs
+from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs, vertex_channel
 from cayley_qmc.qmc_state import (
     EvalContext,
     Observable,
     ObservableTerm,
     compatibility_residual,
-    contract_vertex,
+    channel_tensor,
     correlation,
     eval_bruteforce,
     eval_recursive,
@@ -106,6 +114,26 @@ def test_bruteforce_support_guard(ctx_plus):
         eval_bruteforce(ctx_plus, obs, 0)
 
 
+def contract_vertex(ctx, root, left, right):
+    """One vertex through the context's channel tensor."""
+    t, _ = channel_tensor(ctx)
+    flat = (np.asarray(m, dtype=complex).reshape(4) for m in (root, left, right))
+    return np.einsum("oabc,a,b,c->o", t, *flat).reshape(2, 2)
+
+
+def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
+    for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
+        t, t_h = channel_tensor(ctx)
+        assert channel_tensor(ctx)[0] is t  # built once per context
+        for _ in range(5):
+            a, b1, b2 = ((rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for _ in range(3))
+            want = vertex_channel(ctx.vertex, a, b1, b2)
+            assert np.max(np.abs(contract_vertex(ctx, a, b1, b2) - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
+            want = vertex_channel(ctx.vertex, a, ctx.h, ctx.h)
+            got = (t_h @ a.reshape(4)).reshape(2, 2)
+            assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
 def test_contract_vertex_fixed_point(ctx_plus, ctx_minus, ctx_disordered):
     for ctx in (ctx_plus, ctx_minus, ctx_disordered):
         out = contract_vertex(ctx, PAULI["I"], ctx.h, ctx.h)
@@ -130,6 +158,36 @@ def test_contract_vertex_projector_block(ctx_plus):
     got = contract_vertex(ctx_plus, PAULI["I"], e11h, e11h)
     want = (sol.xi0 + sol.xi3) ** 2 * (c.c1 + c.c2 + c.c3) / 4
     assert got[0, 0].real == pytest.approx(want, rel=1e-12)
+
+
+def unshared_recursive(ctx, obs):
+    """The recursive route one vertex at a time, with no subtree shared: the reference for sharing."""
+    t, t_h = channel_tensor(ctx)
+    (term,) = obs.terms
+    fmap = term.factor_map
+    active = {TreeCoord(s.digits[:k]) for s in fmap for k in range(s.level + 1)} | {ROOT}
+
+    def value(x):
+        f = fmap.get(x, PAULI["I"]).reshape(1, 4)
+        kids = [TreeCoord(x.digits + (d,)) for d in (1, 2)]
+        if not any(c in active for c in kids):
+            return np.einsum("oa,na->no", t_h, f)
+        left, right = (value(c) if c in active else ctx.h.reshape(1, 4) for c in kids)
+        return np.einsum("oabc,na,nb,nc->no", t, f, left, right)
+
+    return term.coeff * normalized_trace(ctx.omega0 @ value(ROOT).reshape(2, 2))
+
+
+def test_subtree_sharing_is_exact(ctx_plus, ctx_minus, rng):
+    for ctx in (ctx_plus, ctx_minus):
+        shared = Observable.product({s: E11 for s in ball_vertices(6, 2)})
+        copies = Observable.product({s: E11.copy() for s in ball_vertices(6, 2)})
+        value = eval_recursive(ctx, shared)
+        assert eval_recursive(ctx, copies) == value
+        assert unshared_recursive(ctx, copies) == value
+        # a random product on the 4-ball shares nothing, and still matches bit for bit
+        obs = random_product_observable(rng, ball_vertices(4, 2))
+        assert eval_recursive(ctx, obs) == unshared_recursive(ctx, obs)
 
 
 def test_recursive_normalization(ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
@@ -296,3 +354,49 @@ def test_correlation_degenerate_cases(ctx_plus):
     f = Observable.single(ROOT, PAULI["Z"])
     prod = multiply_observables(a, f)
     assert correlation(ctx_plus, a, f, ROOT) == pytest.approx(eval_recursive(ctx_plus, prod), abs=1e-12)
+
+
+# --- properties over sampled ordered parameters, past the oracle's 15 sites ---
+
+ordered_points = (
+    st.tuples(st.floats(0.5, 1.5), st.floats(-0.9, 0.9), st.floats(0.3, 2.0))
+    .map(lambda t: ModelParams(t[0], t[0] * t[1], t[2]))
+    .filter(lambda p: delta_theta(p) > 1e-6)
+)
+ordered_branches = st.sampled_from([Branch.ORDERED_PLUS, Branch.ORDERED_MINUS])
+
+
+@functools.cache
+def ball_projector(n, which):
+    return projector_observable(n, which)
+
+
+@settings(max_examples=10, deadline=None)
+@given(ordered_points, ordered_branches, st.integers(0, 2**32 - 1))
+def test_recursive_matches_oracle_on_sampled_points(p, branch, seed):
+    ctx = EvalContext.create(p, branch)
+    rng = np.random.default_rng(seed)
+    sites = [s for s in ball_vertices(2, 2) if rng.random() < 0.6]
+    obs = random_product_observable(rng, sites)
+    assert abs(eval_recursive(ctx, obs) - eval_sparse(ctx, obs, 2)) < 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(ordered_points, ordered_branches, st.integers(10, 13), st.sampled_from("PQ"))
+def test_deep_projectors_match_closed_form(p, branch, n, which):
+    ctx = EvalContext.create(p, branch)
+    want = projector_expectation_closed(p, n, branch, which)
+    got = eval_recursive(ctx, ball_projector(n, which))
+    if want > 1e-250:
+        assert abs(got - want) < 1e-10 * want
+    else:  # near the subnormals neither side keeps its relative accuracy
+        assert abs(got) < 1e-240
+
+
+@settings(max_examples=25, deadline=None)
+@given(ordered_points, ordered_branches, st.integers(1, 24), st.integers(0, 2**32 - 1))
+def test_deep_markers_match_closed_form(p, branch, n, seed):
+    ctx = EvalContext.create(p, branch)
+    site = TreeCoord(tuple(int(d) for d in np.random.default_rng(seed).integers(1, 3, size=n)))
+    got = eval_recursive(ctx, Observable.single(site, E11))
+    assert abs(got - marker_expectation_closed(p, n, branch)) < 1e-10
