@@ -51,7 +51,7 @@ from .qmc_state import (
     eval_sparse,
     weight_matrix,
 )
-from .tree import ROOT, TreeCoord, ball_vertices, concat, level_vertices, successors, translate
+from .tree import ROOT, TreeCoord, ball_vertices, concat, level_vertices, successors
 
 __version__ = "0.1.0"
 
@@ -94,7 +94,6 @@ __all__ = [
     "successors",
     "transfer_coeffs",
     "transfer_coeffs_numeric",
-    "translate",
     "vertex_operator",
     "vertex_operator_closed",
     "weight_matrix",

@@ -168,13 +168,13 @@ def _oracle_cases(ctx: EvalContext) -> float:
     rng = np.random.default_rng(OBSERVABLE_SEED)
     worst = 0.0
     for _ in range(20):
-        obs = random_product_observable(rng, ball_vertices(1, 2))
+        obs = random_product_observable(rng, ball_vertices(1))
         worst = max(worst, abs(eval_recursive(ctx, obs) - eval_bruteforce(ctx, obs, 1)))
     for _ in range(20):
-        obs = random_product_observable(rng, ball_vertices(0, 2))
+        obs = random_product_observable(rng, ball_vertices(0))
         worst = max(worst, abs(eval_recursive(ctx, obs) - eval_bruteforce(ctx, obs, 0)))
     for _ in range(4):  # beyond the criterion: two-level support vs the reduced oracle
-        obs = random_product_observable(rng, ball_vertices(2, 2))
+        obs = random_product_observable(rng, ball_vertices(2))
         worst = max(worst, abs(eval_recursive(ctx, obs) - eval_sparse(ctx, obs, 2)))
     return worst
 

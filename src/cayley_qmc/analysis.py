@@ -16,7 +16,7 @@ import numpy as np
 from .boundary import Branch, dd_threshold, delta_theta, ordered_xi, phase_region
 from .errors import DomainError, ModelInconsistencyError, SingularParameterError
 from .model_ops import ModelParams, operator_coeffs, transfer_coeffs
-from .qmc_state import EvalContext, Observable, correlation, eval_recursive, translate_observable
+from .qmc_state import EvalContext, Observable, correlation, eval_recursive, relocate_observable
 from .tree import TreeCoord, ball_vertices
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -105,10 +105,10 @@ def marker_observable(n: int) -> Observable:
     return Observable.single(TreeCoord((1,) * n), E11)
 
 
-def projector_observable(n: int, which: str, k: int = 2) -> Observable:
+def projector_observable(n: int, which: str) -> Observable:
     """The rank-one product projector (e11 or e22 at every site of the n-ball)."""
     mat = E11 if which.upper() == "P" else E22
-    return Observable.product({site: mat for site in ball_vertices(n, k)})
+    return Observable.product({site: mat for site in ball_vertices(n)})
 
 
 def projector_expectation_closed(p: ModelParams, n: int, branch: Branch, projector: str) -> float:
@@ -157,6 +157,8 @@ def _marker_coeffs(p: ModelParams, branch: Branch) -> tuple[float, float]:
         v1, v2 = ts.pi1_check, ts.pi2_check
     const = (edge * drift * h1 + (c.c3 / 2) * edge**2 * v1) / 2
     coeff = (edge * drift * h2 + (c.c3 / 2) * edge**2 * v2) / 2
+    if not (math.isfinite(const) and math.isfinite(coeff)):
+        raise DomainError(f"marker constants overflow a float at {p}: ({const!r}, {coeff!r})")
     return const, coeff
 
 
@@ -192,7 +194,7 @@ def quasi_gap(p: ModelParams) -> QuasiGap:
     _, xi3 = ordered_xi(p)
     displayed = c.c3 * xi3 * (2 * c.c2 + c.c3) / (3 * c.c3 - 2 * c.c1)
     scale = max(1.0, abs(i1))
-    if abs(i1 - abs(displayed)) > 1e-12 * scale:
+    if not abs(i1 - abs(displayed)) <= 1e-12 * scale:  # a nan fails it
         raise ModelInconsistencyError(f"gap constant mismatch: derived {i1!r} vs displayed {displayed!r}")
     return QuasiGap(i1=i1, i2=i2, lam=lam(p))
 
@@ -284,7 +286,7 @@ def clustering_limit_report(ctx: EvalContext, f: np.ndarray, limit_depth: int = 
     )
     displayed = c.c3 * combo
     numeric = eval_recursive(
-        ctx, translate_observable(Observable.product({TreeCoord(()): f}), TreeCoord((1,) * limit_depth))
+        ctx, relocate_observable(Observable.product({TreeCoord(()): f}), TreeCoord((1,) * limit_depth))
     ).real
     return ClusteringLimitReport(
         numeric=numeric,
@@ -308,7 +310,7 @@ def clustering_deviations(
     the lam-transient is below double precision.
     """
     phi_a = eval_recursive(ctx, a)
-    phi_f = eval_recursive(ctx, translate_observable(f, TreeCoord((1,) * limit_depth)))
+    phi_f = eval_recursive(ctx, relocate_observable(f, TreeCoord((1,) * limit_depth)))
     rows = []
     previous = None
     for level in levels:

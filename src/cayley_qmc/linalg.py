@@ -177,14 +177,23 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return root
 
 
-def matrix_to_pairs(a: np.ndarray) -> list[list[float]]:
-    """Row-major [re, im] pair encoding used by the JSON interfaces."""
-    flat = np.asarray(a, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+def is_real_number(x) -> bool:
+    """True for an int or a float, as JSON writes a real number; bool is refused."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def complex_from_pair(pair, what: str) -> complex:
+    """The complex number of an [re, im] pair of real numbers, as the JSON interfaces write one."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(is_real_number, pair)):
+        raise DomainError(f"{what} must be an [re, im] pair of real numbers, got {pair!r}")
+    return complex(pair[0], pair[1])
 
 
 def matrix_from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    flat = np.array([complex(p[0], p[1]) for p in pairs])
+    """A square matrix from its entries as a row-major list of [re, im] pairs."""
+    if not isinstance(pairs, (list, tuple)):
+        raise DomainError(f"a matrix must be a list of [re, im] pairs, got {pairs!r}")
+    flat = np.array([complex_from_pair(p, "a matrix entry") for p in pairs], dtype=complex)
     dim = int(round(np.sqrt(flat.size)))
     if dim * dim != flat.size:
         raise DomainError(f"pair list of length {flat.size} is not a square matrix")

@@ -38,12 +38,11 @@ def pauli(axis: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Finite couplings and inverse temperature: Ising j0, XY j, beta > 0, tree order k."""
+    """Finite couplings and inverse temperature: Ising j0, XY j, beta > 0."""
 
     j0: float
     j: float
     beta: float
-    k: int = 2
 
     def __post_init__(self) -> None:
         for name in ("j0", "j", "beta"):
@@ -51,8 +50,6 @@ class ModelParams:
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.beta > 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.k < 1:
-            raise DomainError(f"tree order must be >= 1, got {self.k}")
 
     @property
     def theta(self) -> float:
@@ -133,11 +130,6 @@ def xy_bond_closed(p: ModelParams) -> np.ndarray:
     return np.eye(4, dtype=complex) + math.sinh(jb) * h + (math.cosh(jb) - 1) * (h @ h)
 
 
-def _require_order_two(p: ModelParams) -> None:
-    if p.k != 2:
-        raise DomainError(f"model operators are defined for tree order 2, got k={p.k}")
-
-
 @functools.lru_cache(maxsize=256)
 def vertex_operator(p: ModelParams) -> np.ndarray:
     """The canonical 8x8 vertex operator A = K_{u,(u,1)} K_{u,(u,2)} L_{(u,1),(u,2)}.
@@ -146,7 +138,6 @@ def vertex_operator(p: ModelParams) -> np.ndarray:
     exponentials, multiplied in the stated order.  Cached per (frozen)
     parameter set, so the array is read-only: every caller shares it.
     """
-    _require_order_two(p)
     bond = ising_bond(p)
     eye = PAULI["I"]
     k1 = kron(bond, eye)

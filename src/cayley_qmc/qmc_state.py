@@ -41,16 +41,17 @@ from .boundary import Branch, BoundarySolution, solve_branch
 from .errors import DomainError, ResourceLimitError
 from .linalg import (
     SiteOperator,
+    complex_from_pair,
     dagger,
     embed_operator,
+    is_real_number,
     kron_chain,
     matrix_from_pairs,
-    matrix_to_pairs,
     normalized_trace,
     psd_sqrt,
 )
 from .model_ops import PAULI, ModelParams, pauli, vertex_operator
-from .tree import ROOT, TreeCoord, ball_vertices, canonical_key, concat, level_vertices, successors
+from .tree import ROOT, TreeCoord, ball_vertices, concat, level_vertices, successors
 
 MAX_DENSE_SITES = 7  # dims beyond 2^7 = 128 are refused on the dense route
 MAX_REDUCED_DEPTH = 2  # the 15-site ball, reduced to its 7 inner sites
@@ -67,14 +68,12 @@ class ObservableTerm:
         sites = [s for s, _ in self.factors]
         if len(set(sites)) != len(sites):
             raise DomainError("term factors must sit on distinct sites")
-        ordered = tuple(
-            (s, np.asarray(m, dtype=complex)) for s, m in sorted(self.factors, key=lambda f: canonical_key(f[0]))
-        )
-        for _, m in ordered:
+        factors = tuple((s, np.asarray(m, dtype=complex)) for s, m in self.factors)
+        for _, m in factors:
             if m.shape != (2, 2):
                 raise DomainError(f"factors must be 2x2, got shape {m.shape}")
         object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "factors", ordered)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def factor_map(self) -> dict[TreeCoord, np.ndarray]:
@@ -111,47 +110,43 @@ class Observable:
     def depth(self) -> int:
         return max((t.depth for t in self.terms), default=0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "coeff": [t.coeff.real, t.coeff.imag],
-                    "factors": [
-                        {"site": list(s.digits), "matrix": matrix_to_pairs(m)} for s, m in t.factors
-                    ],
-                }
-                for t in self.terms
-            ]
-        }
-
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Observable":
-        if not isinstance(doc, Mapping) or "terms" not in doc:
+        """Parse the observable file format; any other shape is a DomainError."""
+        if not isinstance(doc, Mapping) or not isinstance(doc.get("terms"), list):
             raise DomainError("observable JSON needs an object with a 'terms' list")
-        terms = []
-        for raw in doc["terms"]:
-            coeff = raw.get("coeff", 1.0)
-            if isinstance(coeff, (list, tuple)):
-                coeff = complex(coeff[0], coeff[1])
-            factors = []
-            for f in raw.get("factors", []):
-                if "site" not in f:
-                    raise DomainError("factor needs a 'site'")
-                site = TreeCoord(tuple(f["site"]))
-                if "pauli" in f:
-                    mat = pauli(f["pauli"])
-                elif "matrix" in f:
-                    mat = matrix_from_pairs(f["matrix"])
-                    if mat.shape != (2, 2):
-                        raise DomainError("observable factors must be 2x2 matrices")
-                else:
-                    raise DomainError("factor needs either 'pauli' or 'matrix'")
-                factors.append((site, mat))
-            terms.append(ObservableTerm(coeff, tuple(factors)))
-        return cls(tuple(terms))
+        return cls(tuple(_term_from_json(raw) for raw in doc["terms"]))
 
 
-def translate_observable(f: Observable, g: TreeCoord) -> Observable:
+def _term_from_json(raw) -> ObservableTerm:
+    factors = raw.get("factors", []) if isinstance(raw, Mapping) else None
+    if not isinstance(factors, list):
+        raise DomainError(f"a term must be an object with a 'factors' list, got {raw!r}")
+    coeff = raw.get("coeff", 1.0)
+    coeff = complex(coeff) if is_real_number(coeff) else complex_from_pair(coeff, "coeff")
+    return ObservableTerm(coeff, tuple(_factor_from_json(f) for f in factors))
+
+
+def _factor_from_json(f) -> tuple[TreeCoord, np.ndarray]:
+    if not isinstance(f, Mapping) or "site" not in f:
+        raise DomainError(f"a factor must be an object with a 'site', got {f!r}")
+    site = f["site"]
+    if not isinstance(site, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in site):
+        raise DomainError(f"a site must be a list of integer digits, got {site!r}")
+    if "pauli" in f:
+        if not isinstance(f["pauli"], str):
+            raise DomainError(f"a pauli factor must be a string, got {f['pauli']!r}")
+        mat = pauli(f["pauli"])
+    elif "matrix" in f:
+        mat = matrix_from_pairs(f["matrix"])
+        if mat.shape != (2, 2):
+            raise DomainError("observable factors must be 2x2 matrices")
+    else:
+        raise DomainError("factor needs either 'pauli' or 'matrix'")
+    return TreeCoord(tuple(site)), mat
+
+
+def relocate_observable(f: Observable, g: TreeCoord) -> Observable:
     """Relocate every factor site x to g o x."""
     return Observable(
         tuple(ObservableTerm(t.coeff, tuple((concat(g, s), m) for s, m in t.factors)) for t in f.terms)
@@ -195,12 +190,10 @@ class EvalContext:
         return cls(params=params, solution=solve_branch(params, branch))
 
 
-def _check_support(obs: Observable, n: int, k: int) -> None:
+def _check_support(obs: Observable, n: int) -> None:
     for site in obs.support:
         if site.level > n:
             raise DomainError(f"observable site {site} lies outside the level-{n} ball")
-        if any(d > k for d in site.digits):
-            raise DomainError(f"site {site} is not a vertex of the order-{k} tree")
 
 
 def _boundary_diag_chain(ctx: EvalContext, sites: Sequence[TreeCoord], boundary_level: int) -> np.ndarray:
@@ -217,7 +210,7 @@ def weight_matrix(ctx: EvalContext, n: int) -> SiteOperator:
     """
     if n < 0:
         raise DomainError(f"depth must be >= 0, got {n}")
-    sites = ball_vertices(n + 1, ctx.params.k)
+    sites = ball_vertices(n + 1)
     if len(sites) > MAX_DENSE_SITES:
         raise ResourceLimitError(
             f"dense weight on {len(sites)} sites (dim 2^{len(sites)}) exceeds the {MAX_DENSE_SITES}-site guard"
@@ -229,8 +222,8 @@ def weight_matrix(ctx: EvalContext, n: int) -> SiteOperator:
     pos = {s: i for i, s in enumerate(sites)}
     k_op = embed_operator(ctx.omega0_sqrt, [pos[ROOT]], nsites)
     for m in range(n + 1):
-        for x in level_vertices(m, ctx.params.k):
-            slots = [pos[x]] + [pos[c] for c in successors(x, ctx.params.k)]
+        for x in level_vertices(m):
+            slots = [pos[x]] + [pos[c] for c in successors(x)]
             k_op = k_op @ embed_operator(ctx.vertex, slots, nsites)
     k_op = k_op @ _boundary_diag_chain(ctx, sites, n + 1)
     w = SiteOperator(tuple(sites), dagger(k_op) @ k_op)
@@ -250,7 +243,7 @@ def _trace_weight(w: SiteOperator, obs: Observable) -> complex:
 
 def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
     """Normalized trace of the depth-(n+1) weight against the embedded observable."""
-    _check_support(obs, n, ctx.params.k)
+    _check_support(obs, n)
     return _trace_weight(weight_matrix(ctx, n), obs)
 
 
@@ -293,16 +286,6 @@ _EYE_BYTES = PAULI["I"].tobytes()
 _UNTOUCHED = 0  # the subtree id of a child outside the support: its value is h
 
 
-def _site_index(site: TreeCoord) -> int:
-    """The vertex's position within its level: its digits minus one, read in binary."""
-    index = 0
-    for d in site.digits:
-        if d > 2:
-            raise DomainError(f"site {site} is not a vertex of the order-2 tree")
-        index = 2 * index + d - 1
-    return index
-
-
 def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
     """One product term, contracted one level at a time from its deepest factor up.
 
@@ -317,7 +300,7 @@ def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
     depth = term.depth
     factors: list[dict[int, bytes]] = [{0: _EYE_BYTES}] + [{} for _ in range(depth)]
     for site, mat in term.factors:
-        factors[site.level][_site_index(site)] = mat.tobytes()
+        factors[site.level][site.index] = mat.tobytes()
     values = [ctx.h.reshape(4)]  # subtree id -> its value, flattened
     ids: dict[tuple[bytes, int, int], int] = {}
     below: dict[int, int] = {}  # index -> subtree id, one level down
@@ -381,7 +364,7 @@ def reduced_weight(ctx: EvalContext, n: int) -> SiteOperator:
     for p in range(2**n - 1, m):  # level n
         x = np.tensordot(x, last, axes=([p, m + p], [0, 1]))
         x = np.moveaxis(x, [-2, -1], [p, m + p])
-    w = SiteOperator(tuple(ball_vertices(n, ctx.params.k)), x.reshape(2**m, 2**m))
+    w = SiteOperator(tuple(ball_vertices(n)), x.reshape(2**m, 2**m))
     ctx._cache[key] = w
     return w
 
@@ -394,7 +377,7 @@ def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
     value to eval_bruteforce where both are defined; reaches the 15-site
     volume (n = 2) that the level-1 compatibility check needs.
     """
-    _check_support(obs, n, ctx.params.k)
+    _check_support(obs, n)
     return _trace_weight(reduced_weight(ctx, n), obs)
 
 
@@ -415,7 +398,7 @@ def compatibility_residual(ctx: EvalContext, n: int, trials: int, seed: int = 0)
     if n not in (0, 1):
         raise ResourceLimitError(f"compatibility check supports n in {{0, 1}}, got {n}")
     rng = np.random.default_rng(seed)
-    sites = ball_vertices(n, ctx.params.k)
+    sites = ball_vertices(n)
     worst = 0.0
     for _ in range(trials):
         obs = random_product_observable(rng, sites)
@@ -427,4 +410,4 @@ def compatibility_residual(ctx: EvalContext, n: int, trials: int, seed: int = 0)
 
 def correlation(ctx: EvalContext, a: Observable, f: Observable, g: TreeCoord) -> complex:
     """The two-point functional phi(a * tau_g(f)) via the recursive route."""
-    return eval_recursive(ctx, multiply_observables(a, translate_observable(f, g)))
+    return eval_recursive(ctx, multiply_observables(a, relocate_observable(f, g)))

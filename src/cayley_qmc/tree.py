@@ -1,8 +1,9 @@
-"""Coordinate algebra of the semi-infinite Cayley tree.
+"""Coordinate algebra of the semi-infinite Cayley tree of order two.
 
-Vertices are addressed by digit strings over {1, ..., k}; the root is the
-empty string.  Concatenation makes the vertex set a semigroup with the root
-as two-sided unit, and translations act by left concatenation.
+Vertices are addressed by digit strings over {1, 2}; the root is the empty
+string.  Concatenation makes the vertex set a semigroup with the root as
+two-sided unit, and translations act by left concatenation.  This module is
+the one place that knows the order: a vertex is validated here, once.
 """
 
 from __future__ import annotations
@@ -20,22 +21,22 @@ class TreeCoord:
     digits: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        digits = tuple(int(d) for d in self.digits)
-        if any(d < 1 for d in digits):
-            raise DomainError(f"tree digits must be >= 1, got {digits}")
-        object.__setattr__(self, "digits", digits)
+        digits = tuple(self.digits)
+        if not all(d in (1, 2) for d in digits):
+            raise DomainError(f"tree digits must be 1 or 2, got {digits}")
+        object.__setattr__(self, "digits", tuple(int(d) for d in digits))
 
     @property
     def level(self) -> int:
         return len(self.digits)
 
-    def is_root(self) -> bool:
-        return not self.digits
-
-    def parent(self) -> "TreeCoord":
-        if self.is_root():
-            raise DomainError("the root has no parent")
-        return TreeCoord(self.digits[:-1])
+    @property
+    def index(self) -> int:
+        """The vertex's position within its level: its digits minus one, read in binary."""
+        index = 0
+        for d in self.digits:
+            index = 2 * index + d - 1
+        return index
 
     def __repr__(self) -> str:
         return f"TreeCoord({list(self.digits)})"
@@ -49,35 +50,26 @@ def canonical_key(x: TreeCoord) -> tuple[int, tuple[int, ...]]:
     return (x.level, x.digits)
 
 
-def level_vertices(n: int, k: int) -> list[TreeCoord]:
-    """All k^n vertices of level n, in lexicographic digit order."""
+def level_vertices(n: int) -> list[TreeCoord]:
+    """All 2^n vertices of level n, in lexicographic digit order."""
     if n < 0:
         raise DomainError(f"level must be >= 0, got {n}")
-    if k < 1:
-        raise DomainError(f"tree order must be >= 1, got {k}")
-    return [TreeCoord(digits) for digits in itertools.product(range(1, k + 1), repeat=n)]
+    return [TreeCoord(digits) for digits in itertools.product((1, 2), repeat=n)]
 
 
-def ball_vertices(n: int, k: int) -> list[TreeCoord]:
+def ball_vertices(n: int) -> list[TreeCoord]:
     """The ball of radius n around the root, level by level, lexicographic."""
     out: list[TreeCoord] = []
     for m in range(n + 1):
-        out.extend(level_vertices(m, k))
+        out.extend(level_vertices(m))
     return out
 
 
-def successors(x: TreeCoord, k: int) -> list[TreeCoord]:
-    """The k direct successors ((x,1), ..., (x,k)) in order."""
-    if k < 1:
-        raise DomainError(f"tree order must be >= 1, got {k}")
-    return [TreeCoord(x.digits + (i,)) for i in range(1, k + 1)]
+def successors(x: TreeCoord) -> list[TreeCoord]:
+    """The two direct successors ((x,1), (x,2)) in order."""
+    return [TreeCoord(x.digits + (1,)), TreeCoord(x.digits + (2,))]
 
 
 def concat(x: TreeCoord, y: TreeCoord) -> TreeCoord:
     """Semigroup operation: digits of x followed by digits of y."""
     return TreeCoord(x.digits + y.digits)
-
-
-def translate(g: TreeCoord, x: TreeCoord) -> TreeCoord:
-    """Translation by g, acting as left concatenation."""
-    return concat(g, x)

@@ -128,6 +128,15 @@ def test_quasi_gap_constants():
     assert g.lower_bound(2) <= g.lower_bound(6) < g.i1
 
 
+def test_closed_forms_refuse_overflow_instead_of_nan():
+    # c2 c3^2 ~ e^720 overflows at beta = 60: the marker constants are +-inf
+    p = ModelParams(1.0, 0.3, 60.0)
+    with pytest.raises(DomainError):
+        marker_expectation_closed(p, 2, Branch.ORDERED_PLUS)
+    with pytest.raises(DomainError):
+        quasi_gap(p)
+
+
 def test_quasi_gap_requires_inner_strip():
     with pytest.raises(DomainError):
         quasi_gap(ModelParams(1.0, 2.0, 0.5))

@@ -6,17 +6,17 @@ import pytest
 from cayley_qmc.boundary import (
     Branch,
     Classification,
+    _solution,
     dd_threshold,
     delta_theta,
     fixed_point_residual,
     phase_region,
-    solve_all,
     solve_disordered,
     solve_ordered,
     solve_xy_only,
     xy_alpha_report,
 )
-from cayley_qmc.errors import DomainError, SingularParameterError, SolutionNotPositiveError
+from cayley_qmc.errors import DomainError, ModelInconsistencyError, SingularParameterError, SolutionNotPositiveError
 from cayley_qmc.linalg import normalized_trace
 from cayley_qmc.model_ops import ModelParams, transfer_coeffs
 
@@ -141,11 +141,12 @@ def test_xy_alpha_report_flags_the_displayed_value():
     assert not rep.matches
 
 
-def test_solve_all_branch_sets():
-    assert [s.branch for s in solve_all(ModelParams(1.0, 0.0, 1.0))] == [
-        Branch.DISORDERED,
-        Branch.ORDERED_PLUS,
-        Branch.ORDERED_MINUS,
-    ]
-    assert [s.branch for s in solve_all(ModelParams(0.1, 0.0, 0.1))] == [Branch.DISORDERED]
-    assert [s.branch for s in solve_all(ModelParams(0.0, 1.0, 0.7))] == [Branch.XY_ONLY]
+def test_fixed_point_check_is_relative_for_small_h():
+    # at beta = 60 the disordered h = 1/C1 is about 2e-104: an absolute 1e-10
+    # bound would pass any h that small, a non-solution included
+    p = ModelParams(1.0, 0.3, 60.0)
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ModelInconsistencyError):
+        _solution(p, Branch.DISORDERED, 1e-100 * eye, 1e100 * eye)
+    sol = solve_disordered(p)
+    assert 0 < sol.residual <= 1e-10 * np.linalg.norm(sol.h)

@@ -213,9 +213,31 @@ def test_non_finite_parameters_exit_2(capsys, argv):
 NAN_FACTOR = '{"terms": [{"factors": [{"site": [1], "matrix": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}]}]}'
 
 
+def _one_term(coeff=(1.0, 0.0), **factor):
+    return json.dumps({"terms": [{"coeff": coeff, "factors": [{"site": [1], "pauli": "Z", **factor}]}]})
+
+
+MALFORMED = {
+    "terms-not-a-list": json.dumps({"terms": 5}),
+    "term-not-an-object": json.dumps({"terms": [1]}),
+    "coeff-string": _one_term(coeff="abc"),
+    "coeff-short-pair": _one_term(coeff=[1]),
+    "pauli-number": _one_term(pauli=5),
+    "site-number": _one_term(site=5),
+    "matrix-flat": json.dumps({"terms": [{"factors": [{"site": [1], "matrix": [1, 2, 3, 4]}]}]}),
+    "matrix-short-pair": json.dumps({"terms": [{"factors": [{"site": [1], "matrix": [[1, 0], [0]]}]}]}),
+    "site-fraction": _one_term(site=[1.5]),
+    "site-fraction-above": _one_term(site=[2.9]),
+    "site-string": _one_term(site="12"),
+    "site-bool": _one_term(site=[True]),
+    "site-digit-3": _one_term(site=[1, 3]),
+}
+
+
 @pytest.mark.parametrize(
     "text",
-    ["{not json", json.dumps({"factors": []}), json.dumps([1, 2]), pytest.param(NAN_FACTOR, id="nan-factor")],
+    ["{not json", json.dumps({"factors": []}), json.dumps([1, 2]), pytest.param(NAN_FACTOR, id="nan-factor")]
+    + [pytest.param(text, id=name) for name, text in MALFORMED.items()],
 )
 def test_evaluate_malformed_observable_exits_2(tmp_path, capsys, text):
     path = tmp_path / "obs.json"

@@ -106,11 +106,6 @@ def test_vertex_operator_is_cached_read_only():
         a[0, 0] = 0
 
 
-def test_vertex_operator_rejects_other_orders():
-    with pytest.raises(DomainError):
-        vertex_operator(ModelParams(1.0, 0.0, 1.0, k=3))
-
-
 def test_closed_expansion_matches_product():
     # the six-term expansion is exact; the suspected commutator terms cancel
     worst = 0.0

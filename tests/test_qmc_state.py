@@ -34,7 +34,7 @@ from cayley_qmc.qmc_state import (
     multiply_observables,
     random_product_observable,
     reduced_weight,
-    translate_observable,
+    relocate_observable,
     weight_matrix,
 )
 from cayley_qmc.tree import ROOT, TreeCoord, ball_vertices
@@ -49,7 +49,17 @@ def test_observable_json_roundtrip(rng):
             ObservableTerm(0.25, ()),
         )
     )
-    doc = obs.to_json_dict()
+    doc = {
+        "terms": [
+            {
+                "coeff": [t.coeff.real, t.coeff.imag],
+                "factors": [
+                    {"site": list(s.digits), "matrix": [[z.real, z.imag] for z in m.reshape(-1)]} for s, m in t.factors
+                ],
+            }
+            for t in obs.terms
+        ]
+    }
     back = Observable.from_json_dict(doc)
     assert back.support == obs.support
     assert back.terms[0].coeff == obs.terms[0].coeff
@@ -73,7 +83,7 @@ def test_observable_duplicate_sites_rejected():
 
 def test_translate_and_multiply():
     f = Observable.single(TreeCoord((1,)), PAULI["X"])
-    shifted = translate_observable(f, TreeCoord((2,)))
+    shifted = relocate_observable(f, TreeCoord((2,)))
     assert shifted.support == {TreeCoord((2, 1))}
 
     a = Observable.single(ROOT, PAULI["X"])
@@ -180,13 +190,13 @@ def unshared_recursive(ctx, obs):
 
 def test_subtree_sharing_is_exact(ctx_plus, ctx_minus, rng):
     for ctx in (ctx_plus, ctx_minus):
-        shared = Observable.product({s: E11 for s in ball_vertices(6, 2)})
-        copies = Observable.product({s: E11.copy() for s in ball_vertices(6, 2)})
+        shared = Observable.product({s: E11 for s in ball_vertices(6)})
+        copies = Observable.product({s: E11.copy() for s in ball_vertices(6)})
         value = eval_recursive(ctx, shared)
         assert eval_recursive(ctx, copies) == value
         assert unshared_recursive(ctx, copies) == value
         # a random product on the 4-ball shares nothing, and still matches bit for bit
-        obs = random_product_observable(rng, ball_vertices(4, 2))
+        obs = random_product_observable(rng, ball_vertices(4))
         assert eval_recursive(ctx, obs) == unshared_recursive(ctx, obs)
 
 
@@ -198,7 +208,7 @@ def test_recursive_normalization(ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
 def test_recursive_matches_bruteforce(ctx_plus, ctx_minus, ctx_disordered, rng):
     for ctx in (ctx_plus, ctx_minus, ctx_disordered):
         for _ in range(5):
-            obs = random_product_observable(rng, ball_vertices(1, 2))
+            obs = random_product_observable(rng, ball_vertices(1))
             assert abs(eval_recursive(ctx, obs) - eval_bruteforce(ctx, obs, 1)) < 1e-10
 
 
@@ -256,18 +266,18 @@ def test_cross_level_deviation_is_the_closed_form_transient(ctx_plus, ctx_disord
 def test_sparse_matches_dense(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
         for n in (0, 1):
-            literal = normalized_partial_trace(weight_matrix(ctx, n), ball_vertices(n, 2))
+            literal = normalized_partial_trace(weight_matrix(ctx, n), ball_vertices(n))
             reduced = reduced_weight(ctx, n)
             assert reduced.sites == literal.sites
             assert np.max(np.abs(reduced.matrix - literal.matrix)) < 1e-12
             for _ in range(3):
-                obs = random_product_observable(rng, ball_vertices(n, 2))
+                obs = random_product_observable(rng, ball_vertices(n))
                 assert abs(eval_sparse(ctx, obs, n) - eval_bruteforce(ctx, obs, n)) < 1e-12
 
 
 def test_sparse_depth_two_matches_recursive(ctx_plus, rng):
     for _ in range(2):
-        obs = random_product_observable(rng, ball_vertices(2, 2))
+        obs = random_product_observable(rng, ball_vertices(2))
         assert abs(eval_sparse(ctx_plus, obs, 2) - eval_recursive(ctx_plus, obs)) < 1e-10
 
 
@@ -275,13 +285,13 @@ def test_reduced_weight_hermitian_and_normalized(ctx_plus, ctx_minus, ctx_disord
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
         for n in (0, 1, 2):
             w = reduced_weight(ctx, n)
-            assert w.sites == tuple(ball_vertices(n, 2))
+            assert w.sites == tuple(ball_vertices(n))
             assert np.max(np.abs(w.matrix - dagger(w.matrix))) < 1e-12
             assert abs(normalized_trace(w.matrix) - 1) < 1e-12
 
 
 def test_sparse_multi_term_matches_recursive(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
-    sites = ball_vertices(2, 2)
+    sites = ball_vertices(2)
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
         for _ in range(3):
             terms = []
@@ -305,7 +315,7 @@ def test_oracle_runs_without_scipy():
         import numpy as np
 
         ctx = EvalContext.create(ModelParams(1.0, 0.5, 0.8), Branch.ORDERED_PLUS)
-        obs = random_product_observable(np.random.default_rng(0), ball_vertices(2, 2))
+        obs = random_product_observable(np.random.default_rng(0), ball_vertices(2))
         assert np.isfinite(eval_sparse(ctx, obs, 2))
         for result in (acceptance.criterion_compatibility(), acceptance.criterion_oracle_equivalence()):
             assert result.passed, result
@@ -376,7 +386,7 @@ def ball_projector(n, which):
 def test_recursive_matches_oracle_on_sampled_points(p, branch, seed):
     ctx = EvalContext.create(p, branch)
     rng = np.random.default_rng(seed)
-    sites = [s for s in ball_vertices(2, 2) if rng.random() < 0.6]
+    sites = [s for s in ball_vertices(2) if rng.random() < 0.6]
     obs = random_product_observable(rng, sites)
     assert abs(eval_recursive(ctx, obs) - eval_sparse(ctx, obs, 2)) < 1e-10
 

@@ -3,28 +3,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cayley_qmc.errors import DomainError
-from cayley_qmc.tree import ROOT, TreeCoord, ball_vertices, canonical_key, concat, level_vertices, successors, translate
+from cayley_qmc.tree import ROOT, TreeCoord, ball_vertices, canonical_key, concat, level_vertices, successors
 
-coords = st.builds(TreeCoord, st.lists(st.integers(1, 3), max_size=6).map(tuple))
+coords = st.builds(TreeCoord, st.lists(st.integers(1, 2), max_size=6).map(tuple))
 
 
 def test_level_zero_is_the_root():
-    assert level_vertices(0, 2) == [ROOT]
+    assert level_vertices(0) == [ROOT]
 
 
 def test_level_two_order_two():
-    assert [c.digits for c in level_vertices(2, 2)] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert [c.digits for c in level_vertices(2)] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_level_three_fourth_vertex():
-    verts = level_vertices(3, 2)
+    verts = level_vertices(3)
     assert len(verts) == 8
     assert verts[3].digits == (1, 2, 2)
 
 
-@pytest.mark.parametrize("n,k", [(0, 1), (3, 2), (2, 3), (4, 2)])
+# k: the branching the level must show (level 0 is the root alone, for any k)
+@pytest.mark.parametrize("n,k", [(0, 1), (3, 2), (4, 2)])
 def test_level_count_and_order(n, k):
-    verts = level_vertices(n, k)
+    verts = level_vertices(n)
     assert len(verts) == k**n
     assert all(a.digits < b.digits for a, b in zip(verts, verts[1:]))
     if n > 0:
@@ -32,18 +33,17 @@ def test_level_count_and_order(n, k):
         assert verts[-1].digits == (k,) * n
 
 
-@pytest.mark.parametrize("n,k,size", [(0, 2, 1), (1, 2, 3), (2, 2, 7), (3, 2, 15), (2, 3, 13)])
+@pytest.mark.parametrize("n,k,size", [(0, 2, 1), (1, 2, 3), (2, 2, 7), (3, 2, 15)])
 def test_ball_sizes(n, k, size):
-    ball = ball_vertices(n, k)
-    assert len(ball) == size
+    ball = ball_vertices(n)
+    assert len(ball) == size == (k ** (n + 1) - 1) // (k - 1)
     keys = [canonical_key(v) for v in ball]
     assert keys == sorted(keys)
 
 
 def test_successor_examples():
-    assert [c.digits for c in successors(ROOT, 2)] == [(1,), (2,)]
-    assert [c.digits for c in successors(TreeCoord((1, 2)), 2)] == [(1, 2, 1), (1, 2, 2)]
-    assert [c.digits for c in successors(TreeCoord((2,)), 3)] == [(2, 1), (2, 2), (2, 3)]
+    assert [c.digits for c in successors(ROOT)] == [(1,), (2,)]
+    assert [c.digits for c in successors(TreeCoord((1, 2)))] == [(1, 2, 1), (1, 2, 2)]
 
 
 def test_concat_examples():
@@ -52,19 +52,13 @@ def test_concat_examples():
     assert concat(TreeCoord((1, 2)), TreeCoord((1,))).digits == (1, 2, 1)
 
 
-def test_translate_examples():
-    assert translate(ROOT, TreeCoord((1, 1))) == TreeCoord((1, 1))
-    assert translate(TreeCoord((2,)), TreeCoord((1,))).digits == (2, 1)
-    assert translate(TreeCoord((1, 1)), TreeCoord((2, 2))).digits == (1, 1, 2, 2)
-
-
 def test_invalid_digits_rejected():
+    # the tree has order two: a digit is 1 or 2, nothing else
+    for digits in [(0,), (3,), (1.5,), (0, 1), (1, 2, 3), ("1",), (float("nan"),)]:
+        with pytest.raises(DomainError):
+            TreeCoord(digits)
     with pytest.raises(DomainError):
-        TreeCoord((0, 1))
-    with pytest.raises(DomainError):
-        level_vertices(-1, 2)
-    with pytest.raises(DomainError):
-        successors(ROOT, 0)
+        level_vertices(-1)
 
 
 @given(coords, coords, coords)
@@ -80,12 +74,18 @@ def test_root_is_two_sided_identity(x):
 
 @given(coords, coords)
 def test_translate_adds_levels(g, x):
-    assert translate(g, x).level == g.level + x.level
+    # the translation by g is left concatenation
+    assert concat(g, x).level == g.level + x.level
 
 
-@given(coords, st.integers(1, 3))
-def test_successors_are_single_digit_concats(x, k):
-    succ = successors(x, k)
-    assert succ == [concat(x, TreeCoord((i,))) for i in range(1, k + 1)]
+@given(coords)
+def test_successors_are_single_digit_concats(x):
+    succ = successors(x)
+    assert succ == [concat(x, TreeCoord((1,))), concat(x, TreeCoord((2,)))]
     assert all(s.level == x.level + 1 for s in succ)
-    assert all(s.parent() == x for s in succ)
+    assert [s.index for s in succ] == [2 * x.index, 2 * x.index + 1]
+
+
+def test_index_is_the_position_within_the_level():
+    for n in (0, 1, 3):
+        assert [v.index for v in level_vertices(n)] == list(range(2**n))
