@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import Branch, dd_threshold, delta_theta, ordered_xi, phase_region
-from .errors import DomainError, ModelInconsistencyError, SingularParameterError
+from .boundary import Branch, delta_theta, ordered_xi, phase_region_grid
+from .errors import DomainError, ModelInconsistencyError, ResourceLimitError, SingularParameterError
 from .model_ops import ModelParams, operator_coeffs, transfer_coeffs
 from .qmc_state import EvalContext, Observable, correlation, eval_recursive, relocate_observable
 from .tree import TreeCoord, ball_vertices
@@ -330,8 +331,7 @@ def fitted_decay_ratio(rows: list[dict]) -> float:
     return (devs[-1] / devs[0]) ** (1.0 / (len(devs) - 1))
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(NamedTuple):
     j: float
     j0: float
     delta: float
@@ -339,14 +339,7 @@ class PhasePoint:
     threshold: float
 
 
-def _scan_point(args: tuple[float, float, float]) -> PhasePoint:
-    j, j0, beta = args
-    threshold = dd_threshold(j, beta)
-    try:
-        region = phase_region(ModelParams(j0, j, beta))
-    except SingularParameterError:
-        return PhasePoint(j=j, j0=j0, delta=float("nan"), classification="Singular", threshold=threshold)
-    return PhasePoint(j=j, j0=j0, delta=region.delta, classification=region.classification.value, threshold=threshold)
+MAX_SCAN_POINTS = 1_000_000  # resolution**2 beyond this is refused before the grid exists
 
 
 def phase_diagram_scan(
@@ -360,11 +353,40 @@ def phase_diagram_scan(
     """Delta sign, classification and threshold over a (J, J0) grid.
 
     Rows are ordered by (j, j0); singular points (J = +-J0) are flagged
-    in-row.
+    in-row.  The grid is evaluated at once by boundary.phase_region_grid,
+    which uses its separability: the exponentials and cosh come from `math`
+    once per grid line, because np.exp and np.cosh differ from libm in the
+    last bit on some inputs, and the rest is whole-grid numpy in the
+    pointwise operation order.  So every row equals, bit for bit, what
+    delta_theta, phase_region and dd_threshold give at its point, and the
+    scan fails where the first of them would.
+
+    Refuses a resolution below 2, non-finite bounds, spans or beta, and
+    beta <= 0 (DomainError), and more than MAX_SCAN_POINTS points
+    (ResourceLimitError) before anything is allocated.
     """
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
+    if resolution**2 > MAX_SCAN_POINTS:
+        raise ResourceLimitError(f"a {resolution}x{resolution} scan exceeds the {MAX_SCAN_POINTS}-point guard")
+    bounds = {"j_min": j_min, "j_max": j_max, "j0_min": j0_min, "j0_max": j0_max, "beta": beta}
+    for name, value in bounds.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    if not beta > 0:
+        raise DomainError(f"beta must be positive, got {beta}")
+    if not (math.isfinite(j_max - j_min) and math.isfinite(j0_max - j0_min)):
+        raise DomainError(f"the scan spans overflow a float: J in [{j_min}, {j_max}], J0 in [{j0_min}, {j0_max}]")
     js = np.linspace(j_min, j_max, resolution)
     j0s = np.linspace(j0_min, j0_max, resolution)
-    points = [(float(j), float(j0), beta) for j in js for j0 in j0s]
-    return [_scan_point(pt) for pt in points]
+    delta, names, threshold = phase_region_grid(js, j0s, beta)
+    return list(
+        map(
+            PhasePoint,
+            np.repeat(js, resolution).tolist(),
+            np.tile(j0s, resolution).tolist(),
+            delta.ravel().tolist(),
+            names.ravel().tolist(),
+            np.repeat(threshold, resolution).tolist(),
+        )
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -128,6 +129,67 @@ def phase_region(p: ModelParams) -> PhaseRegion:
     return PhaseRegion(delta, cls)
 
 
+def _per_line(f: Callable[[float], float], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f at every grid coordinate, and where it raised OverflowError (the value is then inf)."""
+    values, overflow = [], []
+    for x in xs.tolist():
+        try:
+            values.append(f(x))
+            overflow.append(False)
+        except OverflowError:
+            values.append(math.inf)
+            overflow.append(True)
+    return np.array(values), np.array(overflow)
+
+
+def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """delta_theta and phase_region at every point of the grid js x j0s, bit for bit.
+
+    Returns Delta and the classification names on the grid (J along axis 0),
+    with nan and "Singular" where delta_theta raises SingularParameterError,
+    and dd_threshold per J line.  Fails where the pointwise calls would, at
+    the first failing point with J outer and dd_threshold called first: with
+    their OverflowError or phase_region's ModelInconsistencyError.
+
+    The grid is separable.  e^{4 J0 beta} and e^{2 J0 beta} per J0 line, and
+    cosh(2 J beta) and dd_threshold per J line, come from `math` (libm), as
+    in the pointwise formulas: np.exp and np.cosh differ from libm in the
+    last bit on some inputs.  den, Delta = (den - 4)/den, the masks and the
+    cross-check are whole-grid float64 arithmetic in _denominator's and
+    delta_theta's operation order, which rounds as Python floats do.
+    """
+    threshold, threshold_overflow = _per_line(lambda j: dd_threshold(j, beta), js)
+    cosh, _ = _per_line(lambda j: math.cosh(2 * j * beta), js)  # overflows where dd_threshold does
+    e4, e4_overflow = _per_line(lambda j0: math.exp(4 * j0 * beta), j0s)
+    e2, _ = _per_line(lambda j0: math.exp(2 * j0 * beta), j0s)  # finite wherever e4 is
+    j, j0 = js[:, None], j0s[None, :]
+    excluded = (j == j0) | (j == -j0)
+    with np.errstate(all="ignore"):  # overflow gives inf and inf/inf nan, as with Python floats
+        den = e4 - e2 * 2 * cosh[:, None] + 1
+        delta = (den - 4) / den
+        singular = excluded | (np.abs(den) < SINGULAR_TOL)
+        delta[singular] = math.nan
+        transition = delta > 0
+        expected = (j * j > j0 * j0) | (j0 > threshold[:, None])
+        mismatch = (np.abs(delta) > REGION_GUARD) & (expected != transition)
+    # delta_theta never forms e^{4 J0 beta} at an excluded point
+    overflow = threshold_overflow[:, None] | (e4_overflow & ~excluded)
+    failed = np.flatnonzero(overflow | mismatch)
+    if failed.size:
+        a, b = divmod(int(failed[0]), len(j0s))
+        if overflow[a, b]:
+            raise OverflowError("math range error")  # as math.exp and math.cosh word it
+        p = ModelParams(float(j0s[b]), float(js[a]), beta)
+        want = Classification.PHASE_TRANSITION if expected[a, b] else Classification.UNIQUE
+        raise ModelInconsistencyError(
+            f"region check failed at {p}: delta={float(delta[a, b])!r} vs closed-form {want.value}"
+        )
+    names = np.where(transition, Classification.PHASE_TRANSITION.value, Classification.UNIQUE.value)
+    names[np.abs(delta) <= BOUNDARY_TOL] = Classification.BOUNDARY.value
+    names[singular] = "Singular"
+    return delta, names, threshold
+
+
 def fixed_point_residual(p: ModelParams, h: np.ndarray) -> float:
     """Frobenius norm of Phi(h) - h under the numeric vertex channel."""
     a = vertex_operator(p)
@@ -182,16 +244,19 @@ def ordered_xi(p: ModelParams) -> tuple[float, float]:
     return xi0, xi3
 
 
+def _ordered_solution(p: ModelParams, branch: Branch) -> BoundarySolution:
+    """h = xi0*1 + xi3*sz (plus) or xi0*1 - xi3*sz (minus), omega0 = (1/xi0)*1, checked."""
+    xi0, xi3 = ordered_xi(p)
+    eye, sz = np.eye(2, dtype=complex), PAULI["Z"]
+    h = xi0 * eye + xi3 * sz if branch is Branch.ORDERED_PLUS else xi0 * eye - xi3 * sz
+    return _solution(p, branch, h, (1 / xi0) * eye, xi0=xi0, xi3=xi3)
+
+
 def solve_ordered(p: ModelParams) -> tuple[BoundarySolution, BoundarySolution] | None:
     """The pair (h, h') = xi0*1 +- xi3*sz, present exactly when Delta > 0."""
     if delta_theta(p) <= 0:
         return None
-    xi0, xi3 = ordered_xi(p)
-    eye, sz = np.eye(2, dtype=complex), PAULI["Z"]
-    omega0 = (1 / xi0) * eye
-    plus = _solution(p, Branch.ORDERED_PLUS, xi0 * eye + xi3 * sz, omega0, xi0=xi0, xi3=xi3)
-    minus = _solution(p, Branch.ORDERED_MINUS, xi0 * eye - xi3 * sz, omega0, xi0=xi0, xi3=xi3)
-    return plus, minus
+    return _ordered_solution(p, Branch.ORDERED_PLUS), _ordered_solution(p, Branch.ORDERED_MINUS)
 
 
 def solve_xy_only(p: ModelParams) -> BoundarySolution:
@@ -218,12 +283,17 @@ def xy_alpha_report(p: ModelParams) -> XYAlphaReport:
 
 
 def solve_branch(p: ModelParams, branch: Branch) -> BoundarySolution:
+    """The solution on one branch, with the refusals of the solver that owns it.
+
+    An ordered branch is built and checked alone: the same solution, bit for
+    bit, as its half of solve_ordered, without the other half's fixed-point
+    check.
+    """
     if branch is Branch.DISORDERED:
         return solve_disordered(p)
     if branch is Branch.XY_ONLY:
         return solve_xy_only(p)
-    pair = solve_ordered(p)
-    if pair is None:
+    if delta_theta(p) <= 0:
         raise DomainError(f"no ordered solutions: Delta(theta) <= 0 at {p}")
-    return pair[0] if branch is Branch.ORDERED_PLUS else pair[1]
+    return _ordered_solution(p, branch)
 

@@ -9,6 +9,7 @@ refusal, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -96,7 +97,14 @@ def _add_params(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=float, required=True, help="inverse temperature (> 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Building the seven subparsers costs more than most commands; parsing does
+    not change the parser (each call gets a new namespace, and usage errors
+    write to the sys.stderr of the moment), so main reuses one.
+    """
     parser = _Parser(prog="cayley-qmc", description="Boundary fixed points and state evaluation on the order-2 tree")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

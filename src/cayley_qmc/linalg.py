@@ -29,14 +29,21 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with complex promotion."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices, with complex promotion.
+
+    One broadcast multiply and a reshape: the products np.kron forms, in the
+    same multiply, without its per-call shape handling.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        out = kron(out, m)
     return out
 
 
@@ -186,7 +193,10 @@ def complex_from_pair(pair, what: str) -> complex:
     """The complex number of an [re, im] pair of real numbers, as the JSON interfaces write one."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(is_real_number, pair)):
         raise DomainError(f"{what} must be an [re, im] pair of real numbers, got {pair!r}")
-    return complex(pair[0], pair[1])
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError as exc:  # an integer literal beyond the largest double
+        raise DomainError(f"{what} does not fit a float ({exc})") from None
 
 
 def matrix_from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:

@@ -123,7 +123,7 @@ def _term_from_json(raw) -> ObservableTerm:
     if not isinstance(factors, list):
         raise DomainError(f"a term must be an object with a 'factors' list, got {raw!r}")
     coeff = raw.get("coeff", 1.0)
-    coeff = complex(coeff) if is_real_number(coeff) else complex_from_pair(coeff, "coeff")
+    coeff = complex_from_pair([coeff, 0] if is_real_number(coeff) else coeff, "coeff")
     return ObservableTerm(coeff, tuple(_factor_from_json(f) for f in factors))
 
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cayley_qmc import analysis
+from cayley_qmc import analysis, boundary
 from cayley_qmc.analysis import (
     E11,
     clustering_deviations,
@@ -21,8 +23,8 @@ from cayley_qmc.analysis import (
     series_matrix,
     transfer_series,
 )
-from cayley_qmc.boundary import Branch, solve_ordered
-from cayley_qmc.errors import DomainError, SingularParameterError
+from cayley_qmc.boundary import Branch, dd_threshold, delta_theta, phase_region, solve_ordered
+from cayley_qmc.errors import DomainError, ModelInconsistencyError, SingularParameterError
 from cayley_qmc.model_ops import ModelParams, operator_coeffs, transfer_coeffs, vertex_channel
 from cayley_qmc.qmc_state import EvalContext, Observable, eval_recursive
 from cayley_qmc.tree import ROOT
@@ -231,3 +233,85 @@ def test_phase_scan_flags_singular_rows():
     assert flagged and all(math.isnan(r.delta) for r in flagged)
     assert all(r.j == r.j0 for r in flagged)
 
+
+
+def _scan_reference(j_min, j_max, j0_min, j0_max, beta, resolution):
+    """The scan point by point through the scalar functions, as the rows are defined."""
+    rows = []
+    for j in np.linspace(j_min, j_max, resolution).tolist():
+        for j0 in np.linspace(j0_min, j0_max, resolution).tolist():
+            threshold = dd_threshold(j, beta)
+            try:
+                delta_theta(ModelParams(j0, j, beta))
+            except SingularParameterError:
+                rows.append((j, j0, math.nan, "Singular", threshold))
+                continue
+            region = phase_region(ModelParams(j0, j, beta))
+            rows.append((j, j0, region.delta, region.classification.value, threshold))
+    return rows
+
+
+def _bits(row):
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
+
+
+def _outcome(scan, *args):
+    try:
+        return [_bits(r) for r in scan(*args)]
+    except (OverflowError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_scan_matches_reference(*args):
+    """Same rows bit for bit, or the same exception with the same message."""
+    assert _outcome(phase_diagram_scan, *args) == _outcome(_scan_reference, *args)
+
+
+coupling = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupling, coupling, coupling, coupling, st.floats(0.05, 5.0), st.integers(2, 12), st.sampled_from([0, 1, -1]))
+def test_phase_scan_rows_equal_the_scalar_functions(j_a, j_b, j0_a, j0_b, beta, resolution, mirror):
+    # mirror = +-1 puts the J0 grid on the J grid (or its negative), so the
+    # diagonal rows are exactly J = +-J0
+    j_min, j_max = sorted((j_a, j_b))
+    j0_min, j0_max = (j0_a, j0_b) if mirror == 0 else sorted((mirror * j_min, mirror * j_max))
+    _assert_scan_matches_reference(j_min, j_max, j0_min, j0_max, beta, resolution)
+
+
+def test_phase_scan_exact_singular_points_match_the_scalar_functions():
+    _assert_scan_matches_reference(-1.5, 1.5, -1.5, 1.5, 0.8, 7)
+    rows = phase_diagram_scan(-1.5, 1.5, -1.5, 1.5, 0.8, 7)
+    singular = [(r.j, r.j0) for r in rows if r.classification == "Singular"]
+    assert len(singular) == 13  # both diagonals, crossing at J = J0 = 0
+    assert all(j == j0 or j == -j0 for j, j0 in singular)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # every point is J = +-J0, where e^{4 J0 beta} (it overflows at
+        # beta = 100) is never formed: no error
+        (-2.0, 2.0, 2.0, 2.0, 100.0, 2),
+        (-2.0, 2.0, -2.0, 2.0, 100.0, 3),  # e^{4 J0 beta} overflows at J = 0, J0 = 2
+        (-3.6, 3.6, -3.0, 0.0, 100.0, 5),  # cosh(2 J beta) overflows on the first row
+        (-1.0, 1.0, 0.2, 1.2, 400.0, 4),
+        # J0 = 0.8999999999999999 against J = -0.9: den cancels to 9.1e-13,
+        # of the wrong sign, Delta = -4.4e12, and the region cross-check fails
+        (-1.5, 0.0, 0.0, 1.5, 2.5, 6),
+    ],
+)
+def test_phase_scan_raises_where_a_point_would(args):
+    _assert_scan_matches_reference(*args)
+
+
+def test_phase_scan_cross_check_still_fails(monkeypatch):
+    # a wrong threshold contradicts the sign of Delta inside |J| < J0
+    monkeypatch.setattr(boundary, "dd_threshold", lambda j, beta: 100.0)
+    with pytest.raises(ModelInconsistencyError, match="region check failed"):
+        phase_diagram_scan(-1.0, 1.0, 0.2, 1.4, 1.0, 5)
+    # the first failing point in row order decides which error a grid raises;
+    # e^{4 J0 beta} overflows at J0 = 2, beta = 100
+    _assert_scan_matches_reference(-0.1, 0.1, 0.5, 2.0, 100.0, 3)  # the cross-check fails first
+    _assert_scan_matches_reference(-0.1, 0.1, 2.0, 0.5, 100.0, 3)  # the overflow comes first

@@ -11,6 +11,7 @@ from cayley_qmc.boundary import (
     delta_theta,
     fixed_point_residual,
     phase_region,
+    solve_branch,
     solve_disordered,
     solve_ordered,
     solve_xy_only,
@@ -106,6 +107,45 @@ def test_solve_ordered_dichotomy():
     for j0, j, beta in [(1.0, 0.5, 0.8), (1.0, 0.2, 0.4), (0.6, 0.0, 1.4), (1.4, -0.9, 0.3)]:
         p = ModelParams(j0, j, beta)
         assert (solve_ordered(p) is not None) == (delta_theta(p) > 0)
+
+
+@pytest.mark.parametrize(
+    ("j0", "j", "beta"), [(1.0, 0.5, 0.8), (1.0, 0.0, 1.0), (1.4, -0.9, 1.3), (1.0, 0.3, 5.0), (2.0, 1.9, 2.0)]
+)
+def test_solve_branch_is_its_half_of_solve_ordered(j0, j, beta):
+    p = ModelParams(j0, j, beta)
+    pair = solve_ordered(p)
+    for branch, want in zip((Branch.ORDERED_PLUS, Branch.ORDERED_MINUS), pair):
+        got = solve_branch(p, branch)
+        assert (got.branch, got.xi0, got.xi3, got.alpha) == (want.branch, want.xi0, want.xi3, want.alpha)
+        assert got.residual.hex() == want.residual.hex()
+        assert got.h.tobytes() == want.h.tobytes() and got.omega0.tobytes() == want.omega0.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("j0", "j", "beta", "error"),
+    [
+        (0.1, 0.0, 0.1, DomainError),  # Delta <= 0
+        (1.0, 0.9, 0.5, DomainError),  # Delta <= 0 inside the strip
+        (1.0, 2.0, 0.5, SolutionNotPositiveError),  # |J| > J0
+        (1.0, -1.5, 0.8, SolutionNotPositiveError),
+        (0.0, 1.0, 0.5, DomainError),  # no Ising part
+        (1.0, 1.0, 0.5, SingularParameterError),  # J = J0
+    ],
+)
+def test_solve_branch_refuses_as_solve_ordered(j0, j, beta, error):
+    p = ModelParams(j0, j, beta)
+    try:
+        want = solve_ordered(p)  # None where Delta <= 0
+    except error as exc:
+        want = str(exc)
+    for branch in (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS):
+        with pytest.raises(error) as got:
+            solve_branch(p, branch)
+        if want is None:
+            assert str(got.value).startswith("no ordered solutions")
+        else:
+            assert str(got.value) == want
 
 
 def test_solve_ordered_not_positive_outside_strip():

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from cayley_qmc import acceptance, cli
+from cayley_qmc import acceptance, analysis, cli
 from cayley_qmc.analysis import marker_expectation_closed
 from cayley_qmc.boundary import Branch
 from cayley_qmc.model_ops import ModelParams
@@ -303,3 +304,79 @@ def test_evaluate_never_prints_a_wrong_value_at_beta_150(tmp_path, capsys):
         assert abs(json.loads(out)["value"][0] - 1) < 1e-10
     else:
         assert out == "" and err.startswith("domain error:")
+
+
+HUGE = "1" + "0" * 340  # an integer literal that no double holds
+
+
+@pytest.mark.parametrize(
+    ("text", "named"),
+    [
+        pytest.param('{"terms": [{"coeff": %s, "factors": []}]}' % HUGE, "coeff", id="coeff"),
+        pytest.param('{"terms": [{"coeff": [1, %s], "factors": []}]}' % HUGE, "coeff", id="coeff-pair"),
+        pytest.param(
+            '{"terms": [{"factors": [{"site": [1], "matrix": [[%s, 0], [0, 0], [0, 0], [1, 0]]}]}]}' % HUGE,
+            "matrix entry",
+            id="matrix",
+        ),
+    ],
+)
+def test_evaluate_huge_integer_names_the_entry(tmp_path, capsys, text, named):
+    path = tmp_path / "obs.json"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, ["evaluate", "--observable", str(path), "--branch", "plus", "--j0", "1", "--j", "0", "--beta", "1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error:") and named in err
+    assert "couplings times beta" not in err
+
+
+SCAN = ["phase-diagram", "--j-min", "-1", "--j-max", "1", "--j0-min", "0.2", "--j0-max", "1.2"]
+
+
+@pytest.mark.parametrize(
+    "override",  # the last value of a repeated option wins
+    [
+        ["--j-max", "inf"],
+        ["--j-min", "nan"],
+        ["--j0-min", "-inf"],
+        ["--j0-max", "nan"],
+        ["--j-min", "-1.5e308", "--j-max", "1.5e308"],
+        ["--beta", "inf"],
+        ["--beta", "0"],
+        ["--beta", "-1"],
+    ],
+)
+def test_phase_diagram_refuses_bad_bounds_without_warning(capsys, override):
+    code, out, err = run_cli(capsys, SCAN + ["--beta", "1", "--resolution", "4", *override])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error:") and "Warning" not in err
+
+
+def test_phase_diagram_resolution_guard_exits_3_before_allocating(capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    side = math.isqrt(analysis.MAX_SCAN_POINTS) + 1  # the smallest side refused
+    code, out, err = run_cli(capsys, SCAN + ["--beta", "1", "--resolution", str(side)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:")
+
+
+def test_main_is_reentrant_on_the_cached_parser(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["solve", "--j0", "1", "--bogus"],
+        ["solve", "--j0", "1", "--j", "0.5", "--beta", "0.8"],
+        SCAN + ["--beta", "1", "--resolution", "4", "--format", "json"],
+    ]
+    shared = [run_cli(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [64, 0, 0]
+    for argv, result in zip(calls, shared):
+        cli.build_parser.cache_clear()  # a parser of its own, as in a separate run
+        assert run_cli(capsys, argv) == result

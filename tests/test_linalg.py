@@ -35,6 +35,18 @@ def test_kron_examples():
     assert xy[0, 3] == -1j  # 1-based entry (1, 4)
 
 
+@pytest.mark.parametrize("shape_a", [(1, 1), (2, 2), (2, 8), (8, 2)])
+@pytest.mark.parametrize("shape_b", [(1, 1), (2, 2), (2, 8), (8, 2)])
+def test_kron_is_np_kron_bit_for_bit(rng, shape_a, shape_b):
+    for a, b in [(crandn(rng, shape_a), crandn(rng, shape_b)), (rng.normal(size=shape_a), rng.normal(size=shape_b))]:
+        got = kron(a, b)
+        want = np.kron(a.astype(complex), b.astype(complex))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    mats = [crandn(rng, shape_a), rng.normal(size=shape_b), crandn(rng, (2, 2))]
+    assert kron_chain(mats).tobytes() == np.kron(np.kron(mats[0], mats[1].astype(complex)), mats[2]).tobytes()
+
+
 def test_normalized_trace_examples():
     assert normalized_trace(np.eye(4)) == 1
     assert normalized_trace(PAULI["Z"]) == 0
