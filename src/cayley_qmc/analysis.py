@@ -9,6 +9,7 @@ evaluation through the state machinery in `qmc_state`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -121,6 +122,8 @@ def projector_expectation_closed(p: ModelParams, n: int, branch: Branch, project
     """
     if n < 0:
         raise DomainError(f"depth must be >= 0, got {n}")
+    if n >= sys.float_info.max_exp:
+        raise DomainError(f"depth n = {n} is too large: 2**n does not fit a float (n must be < {sys.float_info.max_exp})")
     c = transfer_coeffs(p)
     xi0, xi3 = ordered_xi(p)
     aligned = (branch is Branch.ORDERED_PLUS) == (projector.upper() == "P")
@@ -129,6 +132,8 @@ def projector_expectation_closed(p: ModelParams, n: int, branch: Branch, project
         return 0.0
     kappa = (c.c1 + c.c2 + c.c3) / 4
     log_value = -math.log(2 * xi0) + 2**n * math.log(base) + (2**n - 1) * math.log(kappa)
+    if math.isnan(log_value):  # both 2**n terms overflow, with opposite signs
+        raise DomainError(f"depth n = {n} is too large: the projector's log-space value is inf - inf")
     return math.exp(log_value)
 
 

@@ -156,6 +156,18 @@ def herm_exp(a: np.ndarray) -> np.ndarray:
     return (out + dagger(out)) / 2
 
 
+def _require_psd_eigenvalues(w: np.ndarray) -> None:
+    if np.min(w) < -PSD_EIGENVALUE_TOL:
+        raise DomainError(f"matrix is not PSD: smallest eigenvalue {np.min(w):.3e}")
+
+
+def require_psd(a: np.ndarray) -> np.ndarray:
+    """The matrix as complex, refused (DomainError) unless Hermitian and PSD as psd_sqrt requires."""
+    a = _require_hermitian(a)
+    _require_psd_eigenvalues(np.linalg.eigvalsh(a))
+    return a
+
+
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """The unique PSD square root of a PSD matrix.
 
@@ -166,8 +178,7 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """
     a = _require_hermitian(a)
     w, v = np.linalg.eigh(a)
-    if np.min(w) < -PSD_EIGENVALUE_TOL:
-        raise DomainError(f"matrix is not PSD: smallest eigenvalue {np.min(w):.3e}")
+    _require_psd_eigenvalues(w)
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
     root = (root + dagger(root)) / 2
     scale = float(np.max(np.abs(a))) if a.size else 0.0

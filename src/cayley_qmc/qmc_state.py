@@ -21,18 +21,22 @@ observable whose deepest factors sit at level m is contracted from level m
 down, each vertex below which the observable acts on nothing absorbing the
 boundary pair (h, h) of its children; for diagonal factors this coincides
 with sandwiching h^{1/2} directly at level m.  The per-vertex channel is a
-4x4x4x4 tensor built once per context (channel_tensor).  Vertices are
-(level, index) integers; each level's new subtrees are contracted in one
-batched einsum, and equal subtrees (same factors below, e.g. a ball
-projector's) are interned and contracted once, so a level-uniform observable
-costs O(depth) and a product with nothing shared costs one row per active
-vertex.
+4x4x4x4 tensor built once per context (channel_tensor), with its two 4x4
+spine maps: the channel of a factor-free vertex with exactly one child in the
+support (a chain vertex).  Vertices are (level, index) integers; each level's
+new subtrees are contracted in one batched einsum, and equal subtrees (same
+factors below, e.g. a ball projector's) are interned and contracted once, so
+a level-uniform observable costs O(depth) and a product with nothing shared
+costs one row per active vertex.  Levels that hold only chain vertices, such
+as the bare path down to a deep marker or to a translated factor, are walked
+one 4x4 matvec per vertex with no interning.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,6 +53,7 @@ from .linalg import (
     matrix_from_pairs,
     normalized_trace,
     psd_sqrt,
+    require_psd,
 )
 from .model_ops import PAULI, ModelParams, pauli, vertex_operator
 from .tree import ROOT, TreeCoord, ball_vertices, concat, level_vertices, successors
@@ -173,17 +178,23 @@ class EvalContext:
     solution: BoundarySolution
     vertex: np.ndarray = field(repr=False, compare=False, default=None)
     h: np.ndarray = field(repr=False, compare=False, default=None)
-    h_sqrt: np.ndarray = field(repr=False, compare=False, default=None)
     omega0: np.ndarray = field(repr=False, compare=False, default=None)
-    omega0_sqrt: np.ndarray = field(repr=False, compare=False, default=None)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertex", vertex_operator(self.params))
-        object.__setattr__(self, "h", np.asarray(self.solution.h, dtype=complex))
-        object.__setattr__(self, "h_sqrt", psd_sqrt(self.h))
-        object.__setattr__(self, "omega0", np.asarray(self.solution.omega0, dtype=complex))
-        object.__setattr__(self, "omega0_sqrt", psd_sqrt(self.omega0))
+        object.__setattr__(self, "h", require_psd(self.solution.h))
+        object.__setattr__(self, "omega0", require_psd(self.solution.omega0))
+
+    @cached_property
+    def h_sqrt(self) -> np.ndarray:
+        """h^{1/2}, which only the finite-volume oracles use; computed on first use."""
+        return psd_sqrt(self.h)
+
+    @cached_property
+    def omega0_sqrt(self) -> np.ndarray:
+        """omega0^{1/2}, which only the finite-volume oracles use; computed on first use."""
+        return psd_sqrt(self.omega0)
 
     @classmethod
     def create(cls, params: ModelParams, branch: Branch) -> "EvalContext":
@@ -247,21 +258,25 @@ def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
     return _trace_weight(weight_matrix(ctx, n), obs)
 
 
-def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:
-    """The one-vertex channel as a trilinear tensor, and its contraction with (h, h).
+def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The one-vertex channel as a trilinear tensor, and its contractions with h.
 
     T[(p,q),(a,a'),(b,b'),(c,c')] = 1/4 sum_ij A[p,i,j,a,b,c] conj(A[q,i,j,a',b',c'])
     maps the flattened 2x2 inputs (root, child 1, child 2) to the flattened
     Tr_children(A (root x b1 x b2) A*), normalized, as model_ops.vertex_channel
     does.  T_h[(p,q),(a,a')] is T with both children set to h: the value of a
-    vertex whose subtrees the observable does not touch.  Built on first use
-    and cached on the context.
+    vertex whose subtrees the observable does not touch.  The spine pair
+    (S_1, S_2) is T with the identity on the root and h on the other child:
+    S_1 maps the value of child 1 to the value of a factor-free vertex whose
+    child 2 is untouched, and S_2 the other way round.  Built on first use and
+    cached on the context.
     """
     if "channel" not in ctx._cache:
         a = ctx.vertex.reshape((2,) * 6)
         t = np.einsum("pijabc,qijxyz->pqaxbycz", a, a.conj()).reshape(4, 4, 4, 4) / 4
-        h = ctx.h.reshape(4)
-        ctx._cache["channel"] = t, np.einsum("oabc,b,c->oa", t, h, h)
+        eye, h = PAULI["I"].reshape(4), ctx.h.reshape(4)
+        spine = (np.einsum("oabc,a,c->ob", t, eye, h), np.einsum("oabc,a,b->oc", t, eye, h))
+        ctx._cache["channel"] = t, np.einsum("oabc,b,c->oa", t, h, h), spine
     return ctx._cache["channel"]
 
 
@@ -270,9 +285,10 @@ def eval_recursive(ctx: EvalContext, obs: Observable) -> complex:
 
     Per term, only the ancestors of the support are built.  A vertex whose
     children lie outside the support absorbs the solved boundary pair (h, h)
-    of its children; the others contract their factor with their children's
-    values; untouched subtrees contribute h through the fixed point and never
-    get built.
+    of its children; a factor-free vertex with one child in the support maps
+    that child's value through its spine map; the others contract their factor
+    with their children's values; untouched subtrees contribute h through the
+    fixed point and never get built.
     """
     total = 0j
     for term in obs.terms:
@@ -289,39 +305,70 @@ _UNTOUCHED = 0  # the subtree id of a child outside the support: its value is h
 def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
     """One product term, contracted one level at a time from its deepest factor up.
 
-    Vertices are (level, index) integers.  Each subtree is interned by (factor
-    bytes, left subtree id, right subtree id), so equal subtrees, such as those
-    of a ball projector, are contracted once; a level's new subtrees are
-    contracted together in one einsum.  einsum gives each row the bits it would
-    give that row alone, so a shared subtree carries the very value an
+    Vertices are (level, index) integers, and a vertex is one of three kinds:
+    a leaf (no touched child) is T_h times its factor; a chain vertex (no
+    factor, exactly one touched child) is its spine map times that child's
+    value; every other vertex is T contracted with its factor and both
+    children.  Each subtree is interned by (factor bytes, left subtree id,
+    right subtree id), so equal subtrees, such as those of a ball projector,
+    are contracted once; a level's new leaves and inner vertices are
+    contracted together in one einsum, and einsum gives each row the bits it
+    would give that row alone.  A level with no factor whose active vertices
+    all have distinct parents holds only chain vertices: such runs of levels
+    are walked vertex by vertex, one 4x4 matvec each, with no interning.  Every
+    vertex kind has one kernel wherever it occurs, so a subtree's value depends
+    only on the subtree, and a shared subtree carries the very value an
     unshared evaluation computes.
     """
-    t, t_h = channel_tensor(ctx)
-    depth = term.depth
+    t, t_h, spine = channel_tensor(ctx)
+    sites = [(site.level, site.index, mat) for site, mat in term.factors]
+    depth = max((level for level, _, _ in sites), default=0)
     factors: list[dict[int, bytes]] = [{0: _EYE_BYTES}] + [{} for _ in range(depth)]
-    for site, mat in term.factors:
-        factors[site.level][site.index] = mat.tobytes()
+    for level, index, mat in sites:
+        factors[level][index] = mat.tobytes()
     values = [ctx.h.reshape(4)]  # subtree id -> its value, flattened
     ids: dict[tuple[bytes, int, int], int] = {}
     below: dict[int, int] = {}  # index -> subtree id, one level down
-    for level in range(depth, -1, -1):
+    level = depth
+    while level >= 0:
         here = factors[level]
+        if not here and len({i >> 1 for i in below}) == len(below):
+            # a run of chain levels: one matvec per vertex, nothing keyed or interned
+            chains = [(i, values[v]) for i, v in below.items()]
+            while not factors[level] and len({i >> 1 for i, _ in chains}) == len(chains):
+                chains = [(i >> 1, spine[i & 1] @ v) for i, v in chains]
+                level -= 1
+            below = {}
+            for i, v in chains:
+                below[i] = len(values)
+                values.append(v)
+            continue
         keys = {
             i: (here.get(i, _EYE_BYTES), below.get(2 * i, _UNTOUCHED), below.get(2 * i + 1, _UNTOUCHED))
             for i in here.keys() | {j >> 1 for j in below}
         }
-        new = [k for k in dict.fromkeys(keys.values()) if k not in ids]
-        leaves = [k for k in new if k[1] == k[2] == _UNTOUCHED]
-        inner = [k for k in new if not k[1] == k[2] == _UNTOUCHED]
+        leaves, chained, inner = [], [], []
+        for k in dict.fromkeys(keys.values()):
+            if k in ids:
+                continue
+            if k[1] == k[2] == _UNTOUCHED:
+                leaves.append(k)
+            elif k[0] == _EYE_BYTES and _UNTOUCHED in (k[1], k[2]):
+                chained.append(k)
+            else:
+                inner.append(k)
+        for n, k in enumerate(leaves + chained + inner, len(values)):
+            ids[k] = n
         if leaves:
             values.extend(np.einsum("oa,na->no", t_h, _stack(k[0] for k in leaves)))
+        for _, left, right in chained:
+            values.append(spine[0] @ values[left] if right == _UNTOUCHED else spine[1] @ values[right])
         if inner:
             left = np.array([values[k[1]] for k in inner])
             right = np.array([values[k[2]] for k in inner])
             values.extend(np.einsum("oabc,na,nb,nc->no", t, _stack(k[0] for k in inner), left, right))
-        for k in leaves + inner:
-            ids[k] = len(ids) + 1
         below = {i: ids[k] for i, k in keys.items()}
+        level -= 1
     return normalized_trace(ctx.omega0 @ values[below[0]].reshape(2, 2))
 
 

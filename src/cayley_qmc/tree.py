@@ -9,22 +9,28 @@ the one place that knows the order: a vertex is validated here, once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+_DIGITS = {1: 1, 2: 2}
+
+
+@dataclass(frozen=True, init=False)
 class TreeCoord:
     """A vertex: its digit path from the root (empty path = root)."""
 
-    digits: tuple[int, ...] = field(default_factory=tuple)
+    digits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        digits = tuple(self.digits)
-        if not all(d in (1, 2) for d in digits):
-            raise DomainError(f"tree digits must be 1 or 2, got {digits}")
-        object.__setattr__(self, "digits", tuple(int(d) for d in digits))
+    def __init__(self, digits: Iterable[int] = ()) -> None:
+        digits = tuple(digits)
+        try:  # one pass: a digit equal to 1 or 2 is stored as that int, anything else is refused
+            valid = tuple(map(_DIGITS.__getitem__, digits))
+        except (KeyError, TypeError):
+            raise DomainError(f"tree digits must be 1 or 2, got {digits}") from None
+        object.__setattr__(self, "digits", valid)
 
     @property
     def level(self) -> int:
@@ -45,6 +51,14 @@ class TreeCoord:
 ROOT = TreeCoord()
 
 
+def _derived(digits: tuple[int, ...]) -> TreeCoord:
+    """The vertex of int digits derived from valid ones (a product of 1s and 2s, a
+    concatenation), which need no second check."""
+    x = object.__new__(TreeCoord)
+    object.__setattr__(x, "digits", digits)
+    return x
+
+
 def canonical_key(x: TreeCoord) -> tuple[int, tuple[int, ...]]:
     """Sort key giving the volume order: by level, lexicographic within."""
     return (x.level, x.digits)
@@ -54,7 +68,7 @@ def level_vertices(n: int) -> list[TreeCoord]:
     """All 2^n vertices of level n, in lexicographic digit order."""
     if n < 0:
         raise DomainError(f"level must be >= 0, got {n}")
-    return [TreeCoord(digits) for digits in itertools.product((1, 2), repeat=n)]
+    return [_derived(digits) for digits in itertools.product((1, 2), repeat=n)]
 
 
 def ball_vertices(n: int) -> list[TreeCoord]:
@@ -67,9 +81,9 @@ def ball_vertices(n: int) -> list[TreeCoord]:
 
 def successors(x: TreeCoord) -> list[TreeCoord]:
     """The two direct successors ((x,1), (x,2)) in order."""
-    return [TreeCoord(x.digits + (1,)), TreeCoord(x.digits + (2,))]
+    return [_derived(x.digits + (1,)), _derived(x.digits + (2,))]
 
 
 def concat(x: TreeCoord, y: TreeCoord) -> TreeCoord:
     """Semigroup operation: digits of x followed by digits of y."""
-    return TreeCoord(x.digits + y.digits)
+    return _derived(x.digits + y.digits)

@@ -139,6 +139,14 @@ def test_closed_forms_refuse_overflow_instead_of_nan():
         quasi_gap(p)
 
 
+def test_projector_refuses_depths_beyond_a_double():
+    p = ModelParams(1.0, 0.3, 1.0)
+    assert projector_expectation_closed(p, 1000, Branch.ORDERED_PLUS, "P") == 0.0  # underflows, a fine answer
+    for n in (1023, 1024, 5000):
+        with pytest.raises(DomainError, match=f"n = {n}"):
+            projector_expectation_closed(p, n, Branch.ORDERED_PLUS, "P")
+
+
 def test_quasi_gap_requires_inner_strip():
     with pytest.raises(DomainError):
         quasi_gap(ModelParams(1.0, 2.0, 0.5))

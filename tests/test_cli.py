@@ -154,6 +154,17 @@ def test_projector_csv(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("n", ["1100", "1024", "1023"])
+def test_projector_beyond_double_depth_names_n(capsys, n):
+    # 2**n overflows a double from n = 1024; just below, the log-space value is inf - inf
+    argv = ["projector", "--j0", "1", "--j", "0.3", "--n", n, "--beta-min", "1", "--beta-max", "2", "--steps", "2"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error:") and f"n = {n}" in err
+    assert "couplings times beta" not in err
+
+
 def test_cluster_json(capsys):
     argv = ["cluster", "--j0", "1", "--j", "0", "--beta", "1", "--branch", "plus", "--max-level", "5", "--format", "json"]
     code, out, _ = run_cli(capsys, argv)

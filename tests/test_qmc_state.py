@@ -126,14 +126,14 @@ def test_bruteforce_support_guard(ctx_plus):
 
 def contract_vertex(ctx, root, left, right):
     """One vertex through the context's channel tensor."""
-    t, _ = channel_tensor(ctx)
+    t, _, _ = channel_tensor(ctx)
     flat = (np.asarray(m, dtype=complex).reshape(4) for m in (root, left, right))
     return np.einsum("oabc,a,b,c->o", t, *flat).reshape(2, 2)
 
 
 def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
-        t, t_h = channel_tensor(ctx)
+        t, t_h, (s1, s2) = channel_tensor(ctx)
         assert channel_tensor(ctx)[0] is t  # built once per context
         for _ in range(5):
             a, b1, b2 = ((rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for _ in range(3))
@@ -142,6 +142,13 @@ def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disorder
             want = vertex_channel(ctx.vertex, a, ctx.h, ctx.h)
             got = (t_h @ a.reshape(4)).reshape(2, 2)
             assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
+            # the spine maps: no factor at the vertex, h on the untouched child
+            for spine, want in (
+                (s1, vertex_channel(ctx.vertex, PAULI["I"], b1, ctx.h)),
+                (s2, vertex_channel(ctx.vertex, PAULI["I"], ctx.h, b1)),
+            ):
+                got = (spine @ b1.reshape(4)).reshape(2, 2)
+                assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_contract_vertex_fixed_point(ctx_plus, ctx_minus, ctx_disordered):
@@ -171,8 +178,13 @@ def test_contract_vertex_projector_block(ctx_plus):
 
 
 def unshared_recursive(ctx, obs):
-    """The recursive route one vertex at a time, with no subtree shared: the reference for sharing."""
-    t, t_h = channel_tensor(ctx)
+    """The recursive route one vertex at a time, with no subtree shared: the reference for sharing.
+
+    It applies the engine's per-vertex rule: a leaf is T_h times its factor,
+    a factor-free vertex with one touched child is that side's spine map times
+    the child, and any other vertex contracts T with its factor and both children.
+    """
+    t, t_h, spine = channel_tensor(ctx)
     (term,) = obs.terms
     fmap = term.factor_map
     active = {TreeCoord(s.digits[:k]) for s in fmap for k in range(s.level + 1)} | {ROOT}
@@ -180,10 +192,14 @@ def unshared_recursive(ctx, obs):
     def value(x):
         f = fmap.get(x, PAULI["I"]).reshape(1, 4)
         kids = [TreeCoord(x.digits + (d,)) for d in (1, 2)]
-        if not any(c in active for c in kids):
-            return np.einsum("oa,na->no", t_h, f)
-        left, right = (value(c) if c in active else ctx.h.reshape(1, 4) for c in kids)
-        return np.einsum("oabc,na,nb,nc->no", t, f, left, right)
+        touched = [c in active for c in kids]
+        if not any(touched):
+            return np.einsum("oa,na->no", t_h, f)[0]
+        if sum(touched) == 1 and f.tobytes() == PAULI["I"].tobytes():
+            side = touched.index(True)
+            return spine[side] @ value(kids[side])
+        left, right = (value(c) if c in active else ctx.h.reshape(4) for c in kids)
+        return np.einsum("oabc,na,nb,nc->no", t, f, left.reshape(1, 4), right.reshape(1, 4))[0]
 
     return term.coeff * normalized_trace(ctx.omega0 @ value(ROOT).reshape(2, 2))
 
@@ -198,6 +214,14 @@ def test_subtree_sharing_is_exact(ctx_plus, ctx_minus, rng):
         # a random product on the 4-ball shares nothing, and still matches bit for bit
         obs = random_product_observable(rng, ball_vertices(4))
         assert eval_recursive(ctx, obs) == unshared_recursive(ctx, obs)
+        # sparse products to depth 16 hold chain vertices, alone and in runs of levels
+        for count in (1, 2, 3, 5, 8):
+            sites = {TreeCoord(tuple(rng.integers(1, 3, size=rng.integers(0, 17)))) for _ in range(count)}
+            obs = random_product_observable(rng, sites)
+            assert eval_recursive(ctx, obs) == unshared_recursive(ctx, obs)
+        # factors on the sphere alone: factor-free inner levels above, shared as a ball's are
+        sphere = Observable.product({s: E11 for s in ball_vertices(6) if s.level == 6})
+        assert eval_recursive(ctx, sphere) == unshared_recursive(ctx, sphere)
 
 
 def test_recursive_normalization(ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
@@ -332,6 +356,17 @@ def test_sparse_guard(ctx_plus):
         eval_sparse(ctx_plus, Observable.identity(), 3)
 
 
+def test_context_refuses_a_boundary_that_is_not_psd():
+    eye = np.eye(2, dtype=complex)
+    for h, omega0 in (
+        (np.diag([1.0, -0.5]).astype(complex), eye),  # not PSD
+        (eye, np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)),  # not Hermitian
+    ):
+        bad = BoundarySolution(branch=Branch.DISORDERED, h=h, omega0=omega0, residual=float("nan"))
+        with pytest.raises(DomainError):
+            EvalContext(params=ORDERED_POINT, solution=bad)
+
+
 def test_compatibility_solved_and_corrupted(ctx_plus):
     assert compatibility_residual(ctx_plus, 0, 5) < 1e-10
     assert compatibility_residual(ctx_plus, 1, 3) < 1e-10
@@ -404,7 +439,7 @@ def test_deep_projectors_match_closed_form(p, branch, n, which):
 
 
 @settings(max_examples=25, deadline=None)
-@given(ordered_points, ordered_branches, st.integers(1, 24), st.integers(0, 2**32 - 1))
+@given(ordered_points, ordered_branches, st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_deep_markers_match_closed_form(p, branch, n, seed):
     ctx = EvalContext.create(p, branch)
     site = TreeCoord(tuple(int(d) for d in np.random.default_rng(seed).integers(1, 3, size=n)))

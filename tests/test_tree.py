@@ -52,6 +52,15 @@ def test_concat_examples():
     assert concat(TreeCoord((1, 2)), TreeCoord((1,))).digits == (1, 2, 1)
 
 
+def test_derived_vertices_equal_checked_ones():
+    # level_vertices, successors and concat skip the digit check on digits they derive from valid ones
+    derived = ball_vertices(3) + successors(TreeCoord((2, 1))) + [concat(TreeCoord((1,)), TreeCoord((2, 2)))]
+    lookup = {TreeCoord(list(x.digits)): x for x in derived}
+    for x in derived:
+        assert lookup[x] == x and hash(x) == hash(TreeCoord(x.digits)) and repr(x) == repr(TreeCoord(x.digits))
+        assert all(type(d) is int for d in x.digits)
+
+
 def test_invalid_digits_rejected():
     # the tree has order two: a digit is 1 or 2, nothing else
     for digits in [(0,), (3,), (1.5,), (0, 1), (1, 2, 3), ("1",), (float("nan"),)]:
