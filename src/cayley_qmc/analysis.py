@@ -8,6 +8,7 @@ evaluation through the state machinery in `qmc_state`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -328,11 +329,18 @@ def clustering_deviations(
     return rows
 
 
+RESOLVED = 1e-11  # a correlation deviation at or below this is rounding, not decay
+
+
 def fitted_decay_ratio(rows: list[dict]) -> float:
-    """Geometric mean of the successive deviation ratios."""
-    devs = [r["deviation"] for r in rows]
-    if len(devs) < 2 or devs[0] == 0.0:
-        raise DomainError("need at least two nonzero deviations to fit a ratio")
+    """Geometric mean of the successive deviation ratios over the leading resolved rows.
+
+    The fit stops at the first deviation at or below RESOLVED, where rounding
+    takes over from the decay.
+    """
+    devs = list(itertools.takewhile(lambda d: d > RESOLVED, (r["deviation"] for r in rows)))
+    if len(devs) < 2:
+        raise DomainError(f"need at least two leading deviations above {RESOLVED:g} to fit a ratio, got {len(devs)}")
     return (devs[-1] / devs[0]) ** (1.0 / (len(devs) - 1))
 
 

@@ -33,6 +33,7 @@ from .model_ops import (
 
 RESIDUAL_TOL = 1e-10
 BOUNDARY_TOL = 1e-12
+# |den| below SINGULAR_TOL max(1, e^{4 J0 beta}) is rounding: den's error scales with e^{4 J0 beta}.
 SINGULAR_TOL = 1e-14
 # The closed-form region cross-check is skipped closer to the boundary than this.
 REGION_GUARD = 1e-9
@@ -95,7 +96,7 @@ def delta_theta(p: ModelParams) -> float:
     if p.j == p.j0 or p.j == -p.j0:
         raise SingularParameterError(f"J = +-J0 is excluded (j={p.j}, j0={p.j0})")
     den = _denominator(p)
-    if abs(den) < SINGULAR_TOL:
+    if abs(den) < SINGULAR_TOL * max(1.0, math.exp(4 * p.j0 * p.beta)):
         raise SingularParameterError(f"singular parameters: denominator {den:.3e} vanishes near J = +-J0")
     return (den - 4) / den
 
@@ -167,7 +168,7 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
     with np.errstate(all="ignore"):  # overflow gives inf and inf/inf nan, as with Python floats
         den = e4 - e2 * 2 * cosh[:, None] + 1
         delta = (den - 4) / den
-        singular = excluded | (np.abs(den) < SINGULAR_TOL)
+        singular = excluded | (np.abs(den) < SINGULAR_TOL * np.maximum(1.0, e4))
         delta[singular] = math.nan
         transition = delta > 0
         expected = (j * j > j0 * j0) | (j0 > threshold[:, None])

@@ -1,27 +1,21 @@
 """Dense complex kernel with the normalized trace conventions.
 
-All traces are normalized: the identity has trace 1, and partial traces map
-the identity to the identity (standard partial trace divided by the dimension
-of the traced factors).  Single-site dimension is 2; multi-site operators are
-Kronecker chains whose factor order follows the canonical volume order of
-`tree.canonical_key` (first site = leftmost factor).
+All traces are normalized: the identity has trace 1.  Single-site dimension
+is 2; a multi-site operator is a Kronecker chain over its sites in the ball
+order of `tree.ball_vertices` (first site = leftmost factor).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ModelInconsistencyError
-from .tree import TreeCoord, canonical_key
 
 HERMITICITY_TOL = 1e-12
 PSD_EIGENVALUE_TOL = 1e-12
 SQRT_RESIDUAL_TOL = 1e-10
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -51,93 +45,6 @@ def normalized_trace(a: np.ndarray) -> complex:
     """Trace divided by dimension, so normalized_trace(identity) = 1."""
     a = np.asarray(a)
     return complex(np.trace(a)) / a.shape[0]
-
-
-def _n_sites(matrix: np.ndarray) -> int:
-    dim = matrix.shape[0]
-    n = dim.bit_length() - 1
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or 2**n != dim:
-        raise DomainError(f"expected a square matrix of dimension 2^m, got shape {matrix.shape}")
-    return n
-
-
-def permute_sites(matrix: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors: input factor p moves to output slot order[p]."""
-    n = _n_sites(matrix)
-    if sorted(order) != list(range(n)):
-        raise DomainError(f"order must be a permutation of 0..{n - 1}, got {order}")
-    inverse = [0] * n
-    for p, q in enumerate(order):
-        inverse[q] = p
-    axes = inverse + [n + p for p in inverse]
-    t = matrix.reshape((2,) * (2 * n)).transpose(axes)
-    return np.ascontiguousarray(t.reshape(2**n, 2**n))
-
-
-def embed_operator(matrix: np.ndarray, slots: Sequence[int], n_sites: int) -> np.ndarray:
-    """Embed an m-site operator at the given slots of an n-site register.
-
-    `slots[p]` is the register slot receiving factor p of `matrix`; all other
-    slots carry the identity.
-    """
-    m = _n_sites(np.asarray(matrix))
-    if len(slots) != m or len(set(slots)) != m:
-        raise DomainError(f"need {m} distinct slots, got {slots}")
-    if any(s < 0 or s >= n_sites for s in slots):
-        raise DomainError(f"slots {slots} outside register of {n_sites} sites")
-    full = kron(matrix, np.eye(2 ** (n_sites - m)))
-    rest = [s for s in range(n_sites) if s not in slots]
-    return permute_sites(full, list(slots) + rest)
-
-
-def partial_trace_positions(matrix: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Normalized partial trace keeping the given slots (original order)."""
-    n = _n_sites(np.asarray(matrix))
-    keep = list(keep)
-    if sorted(set(keep)) != sorted(keep) or any(p < 0 or p >= n for p in keep):
-        raise DomainError(f"keep positions {keep} invalid for {n} sites")
-    traced = [p for p in range(n) if p not in keep]
-    row = list(_LETTERS[:n])
-    col = row.copy()
-    out_row, out_col = [], []
-    nxt = n
-    for p in keep:
-        col[p] = _LETTERS[nxt]
-        nxt += 1
-        out_row.append(row[p])
-        out_col.append(col[p])
-    spec = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    t = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * n))
-    reduced = np.einsum(spec, t).reshape(2 ** len(keep), 2 ** len(keep))
-    return reduced / 2 ** len(traced)
-
-
-@dataclass(frozen=True)
-class SiteOperator:
-    """A dense operator together with the ordered sites it acts on.
-
-    Factor order always matches the canonical volume order.
-    """
-
-    sites: tuple[TreeCoord, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(set(self.sites)) != len(self.sites):
-            raise DomainError("sites must be distinct")
-        if _n_sites(self.matrix) != len(self.sites):
-            raise DomainError("matrix dimension does not match the site count")
-
-
-def normalized_partial_trace(a: SiteOperator, keep: Iterable[TreeCoord]) -> SiteOperator:
-    """Normalized partial trace over sites(a) \\ keep; maps identity to identity."""
-    keep = set(keep)
-    unknown = keep - set(a.sites)
-    if unknown:
-        raise DomainError(f"keep contains sites outside the operator support: {sorted(unknown, key=canonical_key)}")
-    positions = [p for p, s in enumerate(a.sites) if s in keep]
-    reduced = partial_trace_positions(a.matrix, positions)
-    return SiteOperator(tuple(s for s in a.sites if s in keep), reduced)
 
 
 def _require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelInconsistencyError
-from .linalg import dagger, herm_exp, kron, partial_trace_positions
+from .linalg import dagger, herm_exp, kron
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -171,7 +171,7 @@ def vertex_operator_closed(p: ModelParams) -> np.ndarray:
 def vertex_channel(a_vertex: np.ndarray, root: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Normalized partial trace of A (root x left x right) A* onto the parent site."""
     inner = kron(kron(root, left), right)
-    return partial_trace_positions(a_vertex @ inner @ dagger(a_vertex), keep=[0])
+    return np.einsum("abcdbc->ad", (a_vertex @ inner @ dagger(a_vertex)).reshape((2,) * 6)) / 4
 
 
 def transfer_coeffs(p: ModelParams) -> TransferCoeffs:

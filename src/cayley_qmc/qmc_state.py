@@ -13,8 +13,9 @@ Three routes coexist on purpose:
   expectation, valid at any depth.
 
 Both finite-volume routes end in the same step, the normalized trace of a
-site-labelled weight against the embedded observable; they differ only in
-how the weight is built.
+bare 2^m x 2^m weight in ball order (the vertex at position x has its
+children at 2x+1 and 2x+2) against the observable embedded in that order;
+they differ only in how the weight is built.
 
 The recursive route evaluates the same functional as the brute force: an
 observable whose deepest factors sit at level m is contracted from level m
@@ -37,17 +38,15 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .boundary import Branch, BoundarySolution, solve_branch
 from .errors import DomainError, ResourceLimitError
 from .linalg import (
-    SiteOperator,
     complex_from_pair,
     dagger,
-    embed_operator,
     is_real_number,
     kron_chain,
     matrix_from_pairs,
@@ -56,7 +55,7 @@ from .linalg import (
     require_psd,
 )
 from .model_ops import PAULI, ModelParams, pauli, vertex_operator
-from .tree import ROOT, TreeCoord, ball_vertices, concat, level_vertices, successors
+from .tree import TreeCoord, ball_vertices, concat
 
 MAX_DENSE_SITES = 7  # dims beyond 2^7 = 128 are refused on the dense route
 MAX_REDUCED_DEPTH = 2  # the 15-site ball, reduced to its 7 inner sites
@@ -207,55 +206,52 @@ def _check_support(obs: Observable, n: int) -> None:
             raise DomainError(f"observable site {site} lies outside the level-{n} ball")
 
 
-def _boundary_diag_chain(ctx: EvalContext, sites: Sequence[TreeCoord], boundary_level: int) -> np.ndarray:
-    mats = [ctx.h_sqrt if s.level == boundary_level else PAULI["I"] for s in sites]
-    return kron_chain(mats)
+def weight_matrix(ctx: EvalContext, n: int) -> np.ndarray:
+    """The dense positive weight K*K of the (n+1)-ball, built literally, in ball order.
 
-
-def weight_matrix(ctx: EvalContext, n: int) -> SiteOperator:
-    """The dense positive weight of the (n+1)-ball, built literally.
-
-    Conjugates the root weight by the ordered product of vertex operators over
-    levels 0..n and attaches h^{1/2} at every boundary site.  Refuses volumes
-    beyond 7 sites.
+    K is omega0^{1/2} on the root, then the vertex operator A_x on
+    (x, 2x+1, 2x+2) for every vertex x of levels 0..n in ball order, then
+    h^{1/2} on every boundary site; each factor multiplies K on its own site
+    axes.  Refuses volumes beyond 7 sites.
     """
     if n < 0:
         raise DomainError(f"depth must be >= 0, got {n}")
-    sites = ball_vertices(n + 1)
-    if len(sites) > MAX_DENSE_SITES:
-        raise ResourceLimitError(
-            f"dense weight on {len(sites)} sites (dim 2^{len(sites)}) exceeds the {MAX_DENSE_SITES}-site guard"
-        )
+    m = 2 ** (n + 2) - 1  # sites of the (n+1)-ball
+    if m > MAX_DENSE_SITES:
+        raise ResourceLimitError(f"dense weight on {m} sites (dim 2^{m}) exceeds the {MAX_DENSE_SITES}-site guard")
     key = ("weight", n)
     if key in ctx._cache:
         return ctx._cache[key]
-    nsites = len(sites)
-    pos = {s: i for i, s in enumerate(sites)}
-    k_op = embed_operator(ctx.omega0_sqrt, [pos[ROOT]], nsites)
-    for m in range(n + 1):
-        for x in level_vertices(m):
-            slots = [pos[x]] + [pos[c] for c in successors(x)]
-            k_op = k_op @ embed_operator(ctx.vertex, slots, nsites)
-    k_op = k_op @ _boundary_diag_chain(ctx, sites, n + 1)
-    w = SiteOperator(tuple(sites), dagger(k_op) @ k_op)
+    inner = 2 ** (n + 1) - 1  # sites of the n-ball: the vertices that carry an A
+    factors = [(ctx.omega0_sqrt, (0,))]
+    factors += [(ctx.vertex, (x, 2 * x + 1, 2 * x + 2)) for x in range(inner)]
+    factors += [(ctx.h_sqrt, (x,)) for x in range(inner, m)]
+    k = np.eye(2**m, dtype=complex).reshape((2,) * (2 * m))  # rows then columns, one axis per site
+    for op, sites in factors:
+        cols = [m + x for x in sites]
+        k = np.tensordot(k, op.reshape((2,) * (2 * len(sites))), axes=(cols, range(len(sites))))
+        k = np.moveaxis(k, range(-len(sites), 0), cols)
+    k = k.reshape(2**m, 2**m)
+    w = dagger(k) @ k
     ctx._cache[key] = w
     return w
 
 
-def _trace_weight(w: SiteOperator, obs: Observable) -> complex:
-    """Normalized trace of a weight against the observable embedded on its sites."""
+def _trace_weight(w: np.ndarray, n: int, obs: Observable) -> complex:
+    """Normalized trace of the n-ball's weight against the observable embedded in ball order."""
+    sites = ball_vertices(n)
     total = 0j
     for term in obs.terms:
         fmap = term.factor_map
-        emb = kron_chain([fmap.get(s, PAULI["I"]) for s in w.sites])
-        total += term.coeff * np.einsum("ij,ji->", w.matrix, emb) / emb.shape[0]
+        emb = kron_chain([fmap.get(s, PAULI["I"]) for s in sites])
+        total += term.coeff * np.einsum("ij,ji->", w, emb) / emb.shape[0]
     return complex(total)
 
 
 def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
     """Normalized trace of the depth-(n+1) weight against the embedded observable."""
     _check_support(obs, n)
-    return _trace_weight(weight_matrix(ctx, n), obs)
+    return _trace_weight(weight_matrix(ctx, n), n + 1, obs)
 
 
 def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -377,7 +373,7 @@ def _stack(factors: Iterable[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(factors), dtype=complex).reshape(-1, 4)
 
 
-def reduced_weight(ctx: EvalContext, n: int) -> SiteOperator:
+def reduced_weight(ctx: EvalContext, n: int) -> np.ndarray:
     """The weight K*K of the (n+1)-ball, reduced to the inner n-ball; reaches n = 2.
 
     Built outward from the root instead of from K: starting at omega0, every
@@ -411,7 +407,7 @@ def reduced_weight(ctx: EvalContext, n: int) -> SiteOperator:
     for p in range(2**n - 1, m):  # level n
         x = np.tensordot(x, last, axes=([p, m + p], [0, 1]))
         x = np.moveaxis(x, [-2, -1], [p, m + p])
-    w = SiteOperator(tuple(ball_vertices(n)), x.reshape(2**m, 2**m))
+    w = x.reshape(2**m, 2**m)
     ctx._cache[key] = w
     return w
 
@@ -425,7 +421,7 @@ def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
     volume (n = 2) that the level-1 compatibility check needs.
     """
     _check_support(obs, n)
-    return _trace_weight(reduced_weight(ctx, n), obs)
+    return _trace_weight(reduced_weight(ctx, n), n, obs)
 
 
 def random_product_observable(rng: np.random.Generator, sites: Iterable[TreeCoord]) -> Observable:
@@ -439,8 +435,8 @@ def random_product_observable(rng: np.random.Generator, sites: Iterable[TreeCoor
 def compatibility_residual(ctx: EvalContext, n: int, trials: int, seed: int = 0) -> float:
     """Worst |phi^(n+1)(a) - phi^(n)(a)| over random product observables on the n-ball.
 
-    n = 0 compares the two dense volumes; n = 1 evaluates the deep side against
-    the reduced weight (the 15-site volume exceeds the dense guard).
+    The shallow side is the dense weight and the deep side, on the (n+2)-ball,
+    the reduced weight (the 15-site volume of n = 1 exceeds the dense guard).
     """
     if n not in (0, 1):
         raise ResourceLimitError(f"compatibility check supports n in {{0, 1}}, got {n}")
@@ -450,7 +446,7 @@ def compatibility_residual(ctx: EvalContext, n: int, trials: int, seed: int = 0)
     for _ in range(trials):
         obs = random_product_observable(rng, sites)
         shallow = eval_bruteforce(ctx, obs, n)
-        deep = eval_sparse(ctx, obs, n + 1) if n + 1 > 1 else eval_bruteforce(ctx, obs, n + 1)
+        deep = eval_sparse(ctx, obs, n + 1)
         worst = max(worst, abs(deep - shallow))
     return worst
 

@@ -59,11 +59,6 @@ def _derived(digits: tuple[int, ...]) -> TreeCoord:
     return x
 
 
-def canonical_key(x: TreeCoord) -> tuple[int, tuple[int, ...]]:
-    """Sort key giving the volume order: by level, lexicographic within."""
-    return (x.level, x.digits)
-
-
 def level_vertices(n: int) -> list[TreeCoord]:
     """All 2^n vertices of level n, in lexicographic digit order."""
     if n < 0:
@@ -72,7 +67,11 @@ def level_vertices(n: int) -> list[TreeCoord]:
 
 
 def ball_vertices(n: int) -> list[TreeCoord]:
-    """The ball of radius n around the root, level by level, lexicographic."""
+    """The ball of radius n around the root, level by level, lexicographic.
+
+    This is the ball order: the vertex at position x has its successors at
+    positions 2x+1 and 2x+2.
+    """
     out: list[TreeCoord] = []
     for m in range(n + 1):
         out.extend(level_vertices(m))

@@ -305,13 +305,33 @@ def test_phase_scan_exact_singular_points_match_the_scalar_functions():
         (-2.0, 2.0, -2.0, 2.0, 100.0, 3),  # e^{4 J0 beta} overflows at J = 0, J0 = 2
         (-3.6, 3.6, -3.0, 0.0, 100.0, 5),  # cosh(2 J beta) overflows on the first row
         (-1.0, 1.0, 0.2, 1.2, 400.0, 4),
-        # J0 = 0.8999999999999999 against J = -0.9: den cancels to 9.1e-13,
-        # of the wrong sign, Delta = -4.4e12, and the region cross-check fails
+        # J0 = 0.8999999999999999 against J = -0.9: den cancels to 9.1e-13, of
+        # the wrong sign, within rounding of e^{4 J0 beta}: both flag it Singular
         (-1.5, 0.0, 0.0, 1.5, 2.5, 6),
     ],
 )
 def test_phase_scan_raises_where_a_point_would(args):
     _assert_scan_matches_reference(*args)
+
+
+def test_phase_scan_flags_points_within_rounding_of_the_diagonal():
+    # den's rounding error scales with e^{4 J0 beta}: one ulp off J = -J0 it used
+    # to fail the region cross-check (beta 2.5) or print Delta ~ -2e5 with at most
+    # one correct digit (beta 2)
+    rows = {(r.j, r.j0): r for r in phase_diagram_scan(-1.5, 0.0, 0.0, 1.5, 2.5, 6)}
+    assert rows[(-0.9000000000000000, 0.8999999999999999)].classification == "Singular"
+    rows = {(r.j, r.j0): r for r in phase_diagram_scan(-3.0, 3.0, -3.0, 3.0, 2.0, 61)}
+    near = rows[(-2.8999999999999999, 2.9000000000000004)]
+    assert near.classification == "Singular" and math.isnan(near.delta)
+    _assert_scan_matches_reference(-3.0, 3.0, -3.0, 3.0, 2.0, 61)  # the grid's cut is the scalar one
+
+
+def test_fitted_decay_ratio_stops_at_rounding():
+    rows = [{"deviation": d} for d in (1e-3, 1e-4, 1e-5, 2e-12, 1e-3)]
+    assert fitted_decay_ratio(rows) == pytest.approx(0.1, rel=1e-12)
+    for devs in ((1e-3, 1e-11), (0.0, 1e-3, 1e-4), (1e-13, 1e-14)):
+        with pytest.raises(DomainError, match="two leading deviations above 1e-11"):
+            fitted_decay_ratio([{"deviation": d} for d in devs])
 
 
 def test_phase_scan_cross_check_still_fails(monkeypatch):

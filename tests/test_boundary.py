@@ -44,6 +44,16 @@ def test_delta_singular_on_excluded_lines():
         delta_theta(ModelParams(1.0, -1.0, 0.5))
 
 
+def test_delta_singular_within_rounding_of_the_diagonal():
+    # one ulp off J = -J0, den cancels to 9.1e-13 (of the wrong sign), inside the
+    # rounding of e^{4 J0 beta} = 8.1e3; an absolute 1e-14 cut let Delta = -4.4e12 through
+    near = ModelParams(0.8999999999999999, -0.9, 2.5)
+    with pytest.raises(SingularParameterError, match="denominator 9.095e-13 vanishes"):
+        delta_theta(near)
+    with pytest.raises(SingularParameterError):
+        phase_region(near)
+
+
 def test_delta_equals_coefficient_ratio():
     for j0 in (0.3, 1.0, 1.8):
         for j in (-0.8, 0.0, 0.6, 2.5):

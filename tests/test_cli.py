@@ -67,6 +67,12 @@ def test_solve_singular_exits_2(capsys):
     assert "domain error" in err
 
 
+def test_solve_within_rounding_of_the_diagonal_is_singular(capsys):
+    code, out, err = run_cli(capsys, ["solve", "--j0", "0.8999999999999999", "--j", "-0.9", "--beta", "2.5"])
+    assert (code, out) == (2, "")
+    assert err == "domain error: singular parameters: denominator 9.095e-13 vanishes near J = +-J0\n"
+
+
 def test_usage_error_exits_64(capsys):
     code, _, _ = run_cli(capsys, ["bogus"])
     assert code == 64
@@ -172,6 +178,24 @@ def test_cluster_json(capsys):
     doc = json.loads(out)
     assert abs(doc["fitted_ratio"] - doc["lambda_abs"]) / doc["lambda_abs"] < 0.1
     assert [r["level"] for r in doc["rows"]] == [3, 4, 5]
+
+
+def test_cluster_fits_only_resolved_levels(capsys):
+    # levels 11..16 sit at 1e-13 and below; fitting them too gave 0.199
+    argv = ["cluster", "--j0", "1", "--j", "0.3", "--beta", "1.2", "--max-level", "16", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert abs(doc["fitted_ratio"] - doc["lambda_abs"]) / doc["lambda_abs"] < 0.01
+    assert [r["level"] for r in doc["rows"]] == list(range(3, 17))
+
+
+@pytest.mark.parametrize("beta,branch", [("60", "minus"), ("150", "plus")])
+def test_cluster_refuses_when_nothing_is_resolved(capsys, beta, branch):
+    # lambda = 0 here: every deviation is rounding, and a fitted ratio would be noise
+    code, out, err = run_cli(capsys, ["cluster", "--j0", "1", "--j", "0.3", "--beta", beta, "--branch", branch])
+    assert (code, out) == (2, "")
+    assert "two leading deviations above 1e-11" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

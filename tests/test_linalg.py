@@ -7,21 +7,15 @@ from hypothesis import strategies as st
 
 from cayley_qmc.errors import DomainError
 from cayley_qmc.linalg import (
-    SiteOperator,
     dagger,
-    embed_operator,
     herm_exp,
     kron,
     kron_chain,
     matrix_from_pairs,
-    normalized_partial_trace,
     normalized_trace,
-    partial_trace_positions,
-    permute_sites,
     psd_sqrt,
 )
 from cayley_qmc.model_ops import PAULI
-from cayley_qmc.tree import ROOT, TreeCoord
 
 
 def crandn(rng, shape):
@@ -53,54 +47,12 @@ def test_normalized_trace_examples():
     assert normalized_trace(np.diag([3.0, 5.0])) == 4.0
 
 
-def test_partial_trace_examples():
-    triple = kron_chain([np.eye(2)] * 3)
-    op = SiteOperator((ROOT, TreeCoord((1,)), TreeCoord((2,))), triple)
-    reduced = normalized_partial_trace(op, {ROOT})
-    assert reduced.sites == (ROOT,)
-    assert np.allclose(reduced.matrix, np.eye(2))
-
-    zx = SiteOperator((ROOT, TreeCoord((1,))), kron(PAULI["Z"], PAULI["X"]))
-    assert np.allclose(normalized_partial_trace(zx, {ROOT}).matrix, 0)
-
-
-def test_partial_trace_factorized(rng):
-    a, h = crandn(rng, (2, 2)), crandn(rng, (2, 2))
-    got = partial_trace_positions(kron(a, h), keep=[0])
-    assert np.allclose(got, a * normalized_trace(h), atol=1e-12)
-
-
-def test_partial_trace_unknown_site_rejected():
-    op = SiteOperator((ROOT,), np.eye(2))
-    with pytest.raises(DomainError):
-        normalized_partial_trace(op, {TreeCoord((1,))})
-
-
-def test_partial_trace_composes(rng):
-    m = crandn(rng, (8, 8))
-    op = SiteOperator((ROOT, TreeCoord((1,)), TreeCoord((2,))), m)
-    step = normalized_partial_trace(normalized_partial_trace(op, {ROOT, TreeCoord((1,))}), {ROOT})
-    direct = normalized_partial_trace(op, {ROOT})
-    assert np.allclose(step.matrix, direct.matrix, atol=1e-12)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_kron_trace_multiplicative(seed):
     rng = np.random.default_rng(seed)
     a, b = crandn(rng, (2, 2)), crandn(rng, (4, 4))
     assert np.isclose(normalized_trace(kron(a, b)), normalized_trace(a) * normalized_trace(b), atol=1e-12)
-
-
-def test_permute_sites_swap():
-    m = kron(PAULI["X"], PAULI["Z"])
-    assert np.allclose(permute_sites(m, [1, 0]), kron(PAULI["Z"], PAULI["X"]))
-
-
-def test_embed_noncontiguous():
-    k = kron(PAULI["Z"], PAULI["X"])
-    want = kron_chain([PAULI["Z"], np.eye(2), PAULI["X"]])
-    assert np.allclose(embed_operator(k, [0, 2], 3), want)
 
 
 def test_herm_exp_examples():

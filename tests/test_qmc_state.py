@@ -19,7 +19,7 @@ from cayley_qmc.analysis import (
 )
 from cayley_qmc.boundary import Branch, BoundarySolution, delta_theta
 from cayley_qmc.errors import DomainError, ResourceLimitError
-from cayley_qmc.linalg import dagger, normalized_partial_trace, normalized_trace
+from cayley_qmc.linalg import dagger, kron_chain, normalized_trace
 from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs, vertex_channel
 from cayley_qmc.qmc_state import (
     EvalContext,
@@ -95,16 +95,24 @@ def test_translate_and_multiply():
 
 def test_weight_matrix_trivial_params():
     ctx = EvalContext.create(ModelParams(0.0, 0.0, 1.0), Branch.XY_ONLY)
-    w = weight_matrix(ctx, 0)
-    assert np.allclose(w.matrix, np.eye(8))
+    assert np.allclose(weight_matrix(ctx, 0), np.eye(8))
 
 
 def test_weight_matrix_positive_and_normalized(ctx_plus):
     for n in (0, 1):
         w = weight_matrix(ctx_plus, n)
-        eigs = np.linalg.eigvalsh(w.matrix)
+        eigs = np.linalg.eigvalsh(w)
         assert eigs.min() > -1e-12
-        assert normalized_trace(w.matrix) == pytest.approx(1.0, abs=1e-12)
+        assert normalized_trace(w) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_weight_matrix_is_the_literal_three_site_product(ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
+    # K = omega0^{1/2} on the root, then A on (root, 1, 2), then h^{1/2} on both children
+    for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
+        eye = PAULI["I"]
+        k = kron_chain([ctx.omega0_sqrt, eye, eye]) @ ctx.vertex @ kron_chain([eye, ctx.h_sqrt, ctx.h_sqrt])
+        want = dagger(k) @ k
+        assert np.max(np.abs(weight_matrix(ctx, 0) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_weight_matrix_guard(ctx_plus):
@@ -290,10 +298,10 @@ def test_cross_level_deviation_is_the_closed_form_transient(ctx_plus, ctx_disord
 def test_sparse_matches_dense(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
         for n in (0, 1):
-            literal = normalized_partial_trace(weight_matrix(ctx, n), ball_vertices(n))
-            reduced = reduced_weight(ctx, n)
-            assert reduced.sites == literal.sites
-            assert np.max(np.abs(reduced.matrix - literal.matrix)) < 1e-12
+            inner, boundary = 2 ** (2 ** (n + 1) - 1), 2 ** (2 ** (n + 1))  # dims of the n-ball and of level n+1
+            w = weight_matrix(ctx, n).reshape(inner, boundary, inner, boundary)
+            literal = np.trace(w, axis1=1, axis2=3) / boundary  # level n+1 traced out, normalized
+            assert np.max(np.abs(reduced_weight(ctx, n) - literal)) < 1e-12
             for _ in range(3):
                 obs = random_product_observable(rng, ball_vertices(n))
                 assert abs(eval_sparse(ctx, obs, n) - eval_bruteforce(ctx, obs, n)) < 1e-12
@@ -309,9 +317,9 @@ def test_reduced_weight_hermitian_and_normalized(ctx_plus, ctx_minus, ctx_disord
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
         for n in (0, 1, 2):
             w = reduced_weight(ctx, n)
-            assert w.sites == tuple(ball_vertices(n))
-            assert np.max(np.abs(w.matrix - dagger(w.matrix))) < 1e-12
-            assert abs(normalized_trace(w.matrix) - 1) < 1e-12
+            assert w.shape == (2 ** len(ball_vertices(n)),) * 2
+            assert np.max(np.abs(w - dagger(w))) < 1e-12
+            assert abs(normalized_trace(w) - 1) < 1e-12
 
 
 def test_sparse_multi_term_matches_recursive(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
