@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import Branch, delta_theta, ordered_xi, phase_region_grid
+from .boundary import Branch, delta_theta, ordered_sign, ordered_xi, phase_region_grid
 from .errors import DomainError, ModelInconsistencyError, ResourceLimitError, SingularParameterError
 from .model_ops import ModelParams, operator_coeffs, transfer_coeffs
 from .qmc_state import EvalContext, Observable, correlation, eval_recursive, relocate_observable
@@ -34,33 +34,33 @@ def lam(p: ModelParams) -> float:
     return c.c1 / c.c3 - 0.5
 
 
+def _signed_xi(p: ModelParams, branch: Branch) -> tuple[float, float]:
+    """(xi0, ordered_sign(branch) * xi3): the branch's boundary is h = xi0*1 + xi3*sz."""
+    xi0, xi3 = ordered_xi(p)
+    return xi0, ordered_sign(branch) * xi3
+
+
 @dataclass(frozen=True)
 class TransferSeries:
-    """Constants of the two-component level series for both ordered branches.
+    """Constants of the two-component level series psi_n = rho1 + rho2 * lam^n.
 
-    hat/check pairs follow psi_n = rho1 + rho2 * lam^n; the primed branch uses
-    the pi constants with the same eigenvalue.
+    The hat component is even in xi3, so it is the same on both ordered
+    branches.  The check component is odd in xi3: on the plus branch it is
+    rho1_check - rho1_check * lam^n, and the minus branch negates it.
     """
 
     rho1_hat: float
     rho2_hat: float
     rho1_check: float
-    rho2_check: float
-    pi1_hat: float
-    pi2_hat: float
-    pi1_check: float
-    pi2_check: float
     lam: float
 
     def hat(self, n: int, branch: Branch) -> float:
-        if branch is Branch.ORDERED_PLUS:
-            return self.rho1_hat + self.rho2_hat * self.lam**n
-        return self.pi1_hat + self.pi2_hat * self.lam**n
+        ordered_sign(branch)  # refuses a branch that is not ordered
+        return self.rho1_hat + self.rho2_hat * self.lam**n
 
     def check(self, n: int, branch: Branch) -> float:
-        if branch is Branch.ORDERED_PLUS:
-            return self.rho1_check + self.rho2_check * self.lam**n
-        return self.pi1_check + self.pi2_check * self.lam**n
+        r = ordered_sign(branch) * self.rho1_check
+        return r + (-r) * self.lam**n
 
 
 def transfer_series(p: ModelParams) -> TransferSeries:
@@ -72,25 +72,14 @@ def transfer_series(p: ModelParams) -> TransferSeries:
     rho1_hat = c.c3**2 / den
     rho2_hat = 2 * c.c3 * (c.c3 - c.c1) / den
     rho1_check = 2 * c.c2 * c.c3**2 * xi3 / den
-    return TransferSeries(
-        rho1_hat=rho1_hat,
-        rho2_hat=rho2_hat,
-        rho1_check=rho1_check,
-        rho2_check=-rho1_check,
-        pi1_hat=rho1_hat,
-        pi2_hat=rho2_hat,
-        pi1_check=-rho1_check,
-        pi2_check=rho1_check,
-        lam=lam(p),
-    )
+    return TransferSeries(rho1_hat=rho1_hat, rho2_hat=rho2_hat, rho1_check=rho1_check, lam=lam(p))
 
 
 def series_matrix(p: ModelParams, branch: Branch) -> np.ndarray:
     """The 2x2 recursion matrix N acting on (hat, check) level vectors."""
     c = transfer_coeffs(p)
-    xi0, xi3 = ordered_xi(p)
-    s = xi3 if branch is Branch.ORDERED_PLUS else -xi3
-    return np.array([[c.c1 * xi0, c.c3 * s / 2], [c.c2 * s, 0.5]])
+    xi0, xi3 = _signed_xi(p, branch)
+    return np.array([[c.c1 * xi0, c.c3 * xi3 / 2], [c.c2 * xi3, 0.5]])
 
 
 def iterate_series(p: ModelParams, branch: Branch, n: int) -> tuple[float, float]:
@@ -108,27 +97,38 @@ def marker_observable(n: int) -> Observable:
     return Observable.single(TreeCoord((1,) * n), E11)
 
 
+def _projector(which: str) -> tuple[np.ndarray, float]:
+    """The one-site factor of ball projector "P" or "Q", and the sz eigenvalue it projects onto."""
+    if which == "P":
+        return E11, 1.0
+    if which == "Q":
+        return E22, -1.0
+    raise DomainError(f"a projector is 'P' or 'Q', got {which!r}")
+
+
 def projector_observable(n: int, which: str) -> Observable:
-    """The rank-one product projector (e11 or e22 at every site of the n-ball)."""
-    mat = E11 if which.upper() == "P" else E22
+    """The rank-one product projector: e11 ("P") or e22 ("Q") at every site of the n-ball."""
+    mat, _ = _projector(which)
     return Observable.product({site: mat for site in ball_vertices(n)})
 
 
 def projector_expectation_closed(p: ModelParams, n: int, branch: Branch, projector: str) -> float:
     """Closed form of the ball-projector expectation on an ordered branch.
 
-    Aligned combinations (plus/P, minus/Q) carry (xi0+xi3)^(2^n); anti-aligned
-    ones (xi0-xi3)^(2^n); both share ((C1+C2+C3)/4)^(2^n - 1).  Evaluated in
-    log space to survive the 2^n exponents.
+    The projector onto the sz eigenvalue e (+1 for "P", -1 for "Q") carries
+    (xi0 + e*xi3)^(2^n) with the branch's signed xi3, so plus/P and minus/Q
+    carry (xi0+xi3)^(2^n) and the other two (xi0-xi3)^(2^n); all share
+    ((C1+C2+C3)/4)^(2^n - 1).  Evaluated in log space to survive the 2^n
+    exponents.
     """
+    _, eigenvalue = _projector(projector)
     if n < 0:
         raise DomainError(f"depth must be >= 0, got {n}")
     if n >= sys.float_info.max_exp:
         raise DomainError(f"depth n = {n} is too large: 2**n does not fit a float (n must be < {sys.float_info.max_exp})")
     c = transfer_coeffs(p)
-    xi0, xi3 = ordered_xi(p)
-    aligned = (branch is Branch.ORDERED_PLUS) == (projector.upper() == "P")
-    base = xi0 + xi3 if aligned else xi0 - xi3
+    xi0, xi3 = _signed_xi(p, branch)
+    base = xi0 + eigenvalue * xi3
     if base == 0.0:
         return 0.0
     kappa = (c.c1 + c.c2 + c.c3) / 4
@@ -152,18 +152,12 @@ def projector_limit_scan(j0: float, j: float, n: int, betas: list[float]) -> lis
 def _marker_coeffs(p: ModelParams, branch: Branch) -> tuple[float, float]:
     """(constant, lam-coefficient) of the closed marker expectation."""
     c = transfer_coeffs(p)
-    xi0, xi3 = ordered_xi(p)
+    xi0, xi3 = _signed_xi(p, branch)
     ts = transfer_series(p)
-    if branch is Branch.ORDERED_PLUS:
-        edge, drift = xi0 + xi3, c.c1 * xi0 + c.c2 * xi3
-        h1, h2 = ts.rho1_hat, ts.rho2_hat
-        v1, v2 = ts.rho1_check, ts.rho2_check
-    else:
-        edge, drift = xi0 - xi3, c.c1 * xi0 - c.c2 * xi3
-        h1, h2 = ts.pi1_hat, ts.pi2_hat
-        v1, v2 = ts.pi1_check, ts.pi2_check
-    const = (edge * drift * h1 + (c.c3 / 2) * edge**2 * v1) / 2
-    coeff = (edge * drift * h2 + (c.c3 / 2) * edge**2 * v2) / 2
+    edge, drift = xi0 + xi3, c.c1 * xi0 + c.c2 * xi3
+    v1 = ordered_sign(branch) * ts.rho1_check  # the check series is r - r lam^n
+    const = (edge * drift * ts.rho1_hat + (c.c3 / 2) * edge**2 * v1) / 2
+    coeff = (edge * drift * ts.rho2_hat + (c.c3 / 2) * edge**2 * (-v1)) / 2
     if not (math.isfinite(const) and math.isfinite(coeff)):
         raise DomainError(f"marker constants overflow a float at {p}: ({const!r}, {coeff!r})")
     return const, coeff
@@ -221,16 +215,13 @@ class ClusteringTransfer:
     alpha2: float
     alpha3: float
     eta1: float
-    eta1_hat: float
     eta2: float
-    eta2_hat: float
 
 
 def clustering_transfer(p: ModelParams, branch: Branch) -> ClusteringTransfer:
     c = transfer_coeffs(p)
-    xi0, xi3 = ordered_xi(p)
-    # displayed signs belong to the h = xi0 - xi3 sz convention (minus branch)
-    s = xi3 if branch is Branch.ORDERED_MINUS else -xi3
+    xi0, xi3 = _signed_xi(p, branch)
+    s = -xi3  # displayed signs belong to the h = xi0 - xi3 sz convention (minus branch)
     if abs(c.c1 * xi0 - 1) < 1e-14 or c.c2 * s == 0:
         raise SingularParameterError("degenerate clustering transfer (C1 xi0 = 1 or C2 xi3 = 0)")
     mat = np.array([[c.c1 * xi0, -c.c2 * s], [-(c.c3 / 2) * s, (c.c3 / 2) * xi0]])
@@ -250,9 +241,7 @@ def clustering_transfer(p: ModelParams, branch: Branch) -> ClusteringTransfer:
         alpha2=-(c.c3 / 2) * xi0 * s,
         alpha3=2 * g.delta1**2 * (xi0**2 + xi3**2),
         eta1=1 / den,
-        eta1_hat=2 * (1 - c.c1 * xi0) / den,
         eta2=-2 * c.c2 * s / den,
-        eta2_hat=(c.c1 * xi0 - 1) / (c.c2 * s * den),
     )
 
 
@@ -276,13 +265,13 @@ def clustering_limit_report(ctx: EvalContext, f: np.ndarray, limit_depth: int = 
     p = ctx.params
     branch = ctx.solution.branch
     c = transfer_coeffs(p)
-    xi0, xi3 = ordered_xi(p)
+    xi0, xi3 = _signed_xi(p, branch)
     ct = clustering_transfer(p, branch)
     sz = np.diag([1.0, -1.0])
     g = ct.alpha1 * f + ct.alpha2 * (f @ sz + sz @ f) + ct.alpha3 * (sz @ f @ sz)
     trg = complex(np.trace(g)).real / 2
     trsg = complex(np.trace(sz @ g)).real / 2
-    s = xi3 if branch is Branch.ORDERED_MINUS else -xi3
+    s = -xi3  # the minus-branch convention of clustering_transfer
     v1 = c.c1 * trg * xi0 - c.c2 * trsg * s
     v1p = (c.c3 / 2) * (trsg * xi0 - trg * s)
     structural = c.c3 * (ct.eta1 * v1 + ct.eta2 * v1p)

@@ -62,7 +62,9 @@ class PhaseRegion:
 class BoundarySolution:
     """A solved pair (omega0, h) with its fixed-point residual.
 
-    xi0/xi3 are set on the ordered branches, alpha on the uniform ones.
+    Every solution is diagonal: h = alpha*1 and omega0 = (1/alpha)*1 on the
+    uniform branches (alpha set), h = xi0*1 + ordered_sign(branch)*xi3*sz and
+    omega0 = (1/xi0)*1 on the ordered ones (xi0 and xi3 > 0 set).
     """
 
     branch: Branch
@@ -245,11 +247,25 @@ def ordered_xi(p: ModelParams) -> tuple[float, float]:
     return xi0, xi3
 
 
+_ORDERED_SIGN = {Branch.ORDERED_PLUS: 1.0, Branch.ORDERED_MINUS: -1.0}
+
+
+def ordered_sign(branch: Branch) -> float:
+    """The sign of xi3 in h = xi0*1 + sign*xi3*sz: +1.0 on plus, -1.0 on minus.
+
+    The one place where the two ordered branches differ; any other branch is a
+    DomainError.
+    """
+    if branch not in _ORDERED_SIGN:
+        raise DomainError(f"needs an ordered branch (plus or minus), got {branch.value}")
+    return _ORDERED_SIGN[branch]
+
+
 def _ordered_solution(p: ModelParams, branch: Branch) -> BoundarySolution:
-    """h = xi0*1 + xi3*sz (plus) or xi0*1 - xi3*sz (minus), omega0 = (1/xi0)*1, checked."""
+    """h = xi0*1 + ordered_sign(branch)*xi3*sz, omega0 = (1/xi0)*1, checked."""
     xi0, xi3 = ordered_xi(p)
     eye, sz = np.eye(2, dtype=complex), PAULI["Z"]
-    h = xi0 * eye + xi3 * sz if branch is Branch.ORDERED_PLUS else xi0 * eye - xi3 * sz
+    h = xi0 * eye + ordered_sign(branch) * xi3 * sz
     return _solution(p, branch, h, (1 / xi0) * eye, xi0=xi0, xi3=xi3)
 
 

@@ -38,22 +38,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .boundary import Branch, BoundarySolution, solve_branch
 from .errors import DomainError, ResourceLimitError
-from .linalg import (
-    complex_from_pair,
-    dagger,
-    is_real_number,
-    kron_chain,
-    matrix_from_pairs,
-    normalized_trace,
-    psd_sqrt,
-    require_psd,
-)
+from .linalg import dagger, kron_chain, normalized_trace
 from .model_ops import PAULI, ModelParams, pauli, vertex_operator
 from .tree import TreeCoord, ball_vertices, concat
 
@@ -122,6 +113,32 @@ class Observable:
         return cls(tuple(_term_from_json(raw) for raw in doc["terms"]))
 
 
+def is_real_number(x) -> bool:
+    """True for an int or a float, as JSON writes a real number; bool is refused."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def complex_from_pair(pair, what: str) -> complex:
+    """The complex number of an [re, im] pair of real numbers, as the JSON interfaces write one."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(is_real_number, pair)):
+        raise DomainError(f"{what} must be an [re, im] pair of real numbers, got {pair!r}")
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError as exc:  # an integer literal beyond the largest double
+        raise DomainError(f"{what} does not fit a float ({exc})") from None
+
+
+def matrix_from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
+    """A square matrix from its entries as a row-major list of [re, im] pairs."""
+    if not isinstance(pairs, (list, tuple)):
+        raise DomainError(f"a matrix must be a list of [re, im] pairs, got {pairs!r}")
+    flat = np.array([complex_from_pair(p, "a matrix entry") for p in pairs], dtype=complex)
+    dim = int(round(np.sqrt(flat.size)))
+    if dim * dim != flat.size:
+        raise DomainError(f"pair list of length {flat.size} is not a square matrix")
+    return flat.reshape(dim, dim)
+
+
 def _term_from_json(raw) -> ObservableTerm:
     factors = raw.get("factors", []) if isinstance(raw, Mapping) else None
     if not isinstance(factors, list):
@@ -169,9 +186,23 @@ def multiply_observables(a: Observable, b: Observable) -> Observable:
     return Observable(tuple(terms))
 
 
+def _diagonal_boundary(a: np.ndarray, name: str) -> np.ndarray:
+    """The boundary matrix as complex, refused unless 2x2 diagonal with real nonnegative entries."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (2, 2) or not (np.array_equal(a, np.diag(a.diagonal().real)) and np.all(a.diagonal().real >= 0)):
+        raise DomainError(f"boundary {name} must be diagonal with real nonnegative entries, got {a.tolist()}")
+    return a
+
+
 @dataclass(frozen=True)
 class EvalContext:
-    """Immutable evaluation state: parameters, solved boundary, cached operators."""
+    """Immutable evaluation state: parameters, solved boundary, cached operators.
+
+    Every boundary solution is diagonal (alpha*1, or xi0*1 +- xi3*sz on the
+    ordered pair), so h and omega0 are accepted only as 2x2 diagonal matrices
+    with real nonnegative entries, a DomainError otherwise, and their square
+    roots are entrywise.
+    """
 
     params: ModelParams
     solution: BoundarySolution
@@ -182,18 +213,18 @@ class EvalContext:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertex", vertex_operator(self.params))
-        object.__setattr__(self, "h", require_psd(self.solution.h))
-        object.__setattr__(self, "omega0", require_psd(self.solution.omega0))
+        object.__setattr__(self, "h", _diagonal_boundary(self.solution.h, "h"))
+        object.__setattr__(self, "omega0", _diagonal_boundary(self.solution.omega0, "omega0"))
 
     @cached_property
     def h_sqrt(self) -> np.ndarray:
-        """h^{1/2}, which only the finite-volume oracles use; computed on first use."""
-        return psd_sqrt(self.h)
+        """h^{1/2}, entrywise, which only the finite-volume oracles use; computed on first use."""
+        return np.sqrt(self.h)
 
     @cached_property
     def omega0_sqrt(self) -> np.ndarray:
-        """omega0^{1/2}, which only the finite-volume oracles use; computed on first use."""
-        return psd_sqrt(self.omega0)
+        """omega0^{1/2}, entrywise, which only the finite-volume oracles use; computed on first use."""
+        return np.sqrt(self.omega0)
 
     @classmethod
     def create(cls, params: ModelParams, branch: Branch) -> "EvalContext":

@@ -38,8 +38,12 @@ def test_series_initial_conditions():
     xi0 = solve_ordered(POINT)[0].xi0
     assert ts.hat(0, Branch.ORDERED_PLUS) == pytest.approx(1 / xi0, rel=1e-13)
     assert ts.check(0, Branch.ORDERED_PLUS) == 0.0
-    assert ts.pi1_hat == ts.rho1_hat and ts.pi2_hat == ts.rho2_hat
-    assert ts.pi1_check == -ts.rho1_check and ts.pi2_check == -ts.rho2_check
+    # the mirror: hat is even in xi3 and check odd, bit for bit; at n = 0 both
+    # checks are +0.0, whose negation would be -0.0
+    for n in range(9):
+        plus, minus = ts.check(n, Branch.ORDERED_PLUS), ts.check(n, Branch.ORDERED_MINUS)
+        assert minus.hex() == (-plus if n else plus).hex()
+        assert ts.hat(n, Branch.ORDERED_MINUS).hex() == ts.hat(n, Branch.ORDERED_PLUS).hex()
 
 
 def test_series_matrix_entries():
@@ -58,6 +62,47 @@ def test_series_closed_form_matches_iteration(p, branch):
         scale = max(1.0, abs(hat), abs(chk))
         assert abs(hat - ts.hat(n, branch)) < 1e-12 * scale
         assert abs(chk - ts.check(n, branch)) < 1e-12 * scale
+
+
+REFUSAL_POINT = ModelParams(1.0, 0.3, 1.2)
+NOT_ORDERED = (Branch.DISORDERED, Branch.XY_ONLY)
+
+
+@pytest.mark.parametrize("branch", NOT_ORDERED)
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        # the disordered marker is 1/2 (eval_recursive: 0.49999999999999967), not
+        # the minus branch's 0.0015649141283897766
+        lambda p, b: marker_expectation_closed(p, 2, b),
+        # the disordered projector is 0.26303136971278446, not the minus branch's 1.34e-08
+        lambda p, b: projector_expectation_closed(p, 2, b, "P"),
+        lambda p, b: projector_expectation_closed(p, 2, b, "Q"),
+        lambda p, b: series_matrix(p, b),
+        lambda p, b: iterate_series(p, b, 2),
+        lambda p, b: transfer_series(p).hat(2, b),
+        lambda p, b: transfer_series(p).check(2, b),
+        lambda p, b: clustering_transfer(p, b),
+    ],
+    ids=["marker", "projector-P", "projector-Q", "series_matrix", "iterate_series", "hat", "check", "clustering"],
+)
+def test_closed_forms_refuse_a_branch_that_is_not_ordered(closed_form, branch):
+    with pytest.raises(DomainError, match="ordered branch"):
+        closed_form(REFUSAL_POINT, branch)
+
+
+def test_clustering_limit_report_refuses_the_disordered_state():
+    ctx = EvalContext.create(REFUSAL_POINT, Branch.DISORDERED)
+    with pytest.raises(DomainError, match="ordered branch"):
+        analysis.clustering_limit_report(ctx, E11)
+
+
+@pytest.mark.parametrize("which", ["X", "p", "q", "", "PQ"])
+def test_projectors_accept_only_p_or_q(which):
+    with pytest.raises(DomainError, match="'P' or 'Q'"):
+        projector_observable(2, which)
+    with pytest.raises(DomainError, match="'P' or 'Q'"):
+        projector_expectation_closed(REFUSAL_POINT, 2, Branch.ORDERED_PLUS, which)
 
 
 def test_series_requires_ising_part():

@@ -10,6 +10,7 @@ from cayley_qmc.boundary import (
     dd_threshold,
     delta_theta,
     fixed_point_residual,
+    ordered_sign,
     phase_region,
     solve_branch,
     solve_disordered,
@@ -107,6 +108,19 @@ def test_solve_ordered_known_values():
     assert plus.residual < 1e-10 and minus.residual < 1e-10
     assert np.allclose(plus.h, np.diag([plus.xi0 + plus.xi3, plus.xi0 - plus.xi3]))
     assert np.allclose(minus.h, np.diag([plus.xi0 - plus.xi3, plus.xi0 + plus.xi3]))
+
+
+def test_every_solution_is_diagonal_and_the_ordered_pair_differs_in_the_sign_of_xi3():
+    assert (ordered_sign(Branch.ORDERED_PLUS), ordered_sign(Branch.ORDERED_MINUS)) == (1.0, -1.0)
+    for branch in (Branch.DISORDERED, Branch.XY_ONLY):
+        with pytest.raises(DomainError, match="ordered branch"):
+            ordered_sign(branch)
+    p = ModelParams(1.0, 0.3, 1.2)
+    plus, minus = solve_ordered(p)
+    for sol in (plus, minus, solve_disordered(p), solve_xy_only(ModelParams(0.0, 0.3, 1.2))):
+        for m in (sol.h, sol.omega0):
+            assert np.array_equal(m, np.diag(np.diagonal(m)))
+    assert np.array_equal(minus.h, plus.h[::-1, ::-1]) and np.array_equal(minus.omega0, plus.omega0)
 
 
 def test_solve_ordered_empty_below_threshold():

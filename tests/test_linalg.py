@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayley_qmc.errors import DomainError
-from cayley_qmc.linalg import (
-    dagger,
-    herm_exp,
-    kron,
-    kron_chain,
-    matrix_from_pairs,
-    normalized_trace,
-    psd_sqrt,
-)
+from cayley_qmc.linalg import dagger, herm_exp, kron, kron_chain, normalized_trace
 from cayley_qmc.model_ops import PAULI
 
 
@@ -81,33 +73,3 @@ def test_herm_exp_inverse(seed):
 def test_herm_exp_rejects_non_hermitian():
     with pytest.raises(DomainError):
         herm_exp(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_psd_sqrt_examples():
-    assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    xi0, xi3 = 0.26, 0.11
-    got = psd_sqrt(xi0 * np.eye(2) + xi3 * PAULI["Z"])
-    assert np.allclose(got, np.diag([math.sqrt(xi0 + xi3), math.sqrt(xi0 - xi3)]), atol=1e-14)
-
-
-def test_psd_sqrt_squares_back(rng):
-    m = crandn(rng, (4, 4))
-    a = m @ dagger(m)
-    root = psd_sqrt(a)
-    assert np.linalg.norm(root @ root - a) < 1e-10
-    # large matrices (omega0 grows like e^{4 J0 beta}) are held to a relative residual
-    for scale in (1e8, 1e260):
-        root = psd_sqrt(scale * a) / math.sqrt(scale)
-        assert np.linalg.norm(root @ root - a) < 1e-10 * np.linalg.norm(a)
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(DomainError):
-        psd_sqrt(np.diag([1.0, -0.5]))
-
-
-def test_matrix_pair_roundtrip(rng):
-    m = crandn(rng, (2, 2))
-    pairs = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    assert np.array_equal(matrix_from_pairs(pairs), m)

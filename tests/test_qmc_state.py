@@ -31,6 +31,7 @@ from cayley_qmc.qmc_state import (
     eval_bruteforce,
     eval_recursive,
     eval_sparse,
+    matrix_from_pairs,
     multiply_observables,
     random_product_observable,
     reduced_weight,
@@ -65,6 +66,12 @@ def test_observable_json_roundtrip(rng):
     assert back.terms[0].coeff == obs.terms[0].coeff
     for (s1, m1), (s2, m2) in zip(back.terms[0].factors, obs.terms[0].factors):
         assert s1 == s2 and np.allclose(m1, m2)
+
+
+def test_matrix_pair_roundtrip(rng):
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    pairs = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    assert np.array_equal(matrix_from_pairs(pairs), m)
 
 
 def test_observable_json_pauli_factors():
@@ -369,10 +376,24 @@ def test_context_refuses_a_boundary_that_is_not_psd():
     for h, omega0 in (
         (np.diag([1.0, -0.5]).astype(complex), eye),  # not PSD
         (eye, np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)),  # not Hermitian
+        (np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex), eye),  # Hermitian PSD, but not diagonal
     ):
         bad = BoundarySolution(branch=Branch.DISORDERED, h=h, omega0=omega0, residual=float("nan"))
         with pytest.raises(DomainError):
             EvalContext(params=ORDERED_POINT, solution=bad)
+
+
+@pytest.mark.parametrize(
+    ("p", "branch"),
+    [(ModelParams(1.0, 0.3, 1.2), b) for b in (Branch.DISORDERED, Branch.ORDERED_PLUS, Branch.ORDERED_MINUS)]
+    + [(ModelParams(0.0, 0.3, 1.2), Branch.XY_ONLY)]
+    # beta = 60: h's two entries are e^{+-240} apart and omega0 grows like e^{240}
+    + [(ModelParams(1.0, 0.3, 60.0), b) for b in (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS)],
+)
+def test_entrywise_square_roots_square_back(p, branch):
+    ctx = EvalContext.create(p, branch)
+    for root, a in ((ctx.h_sqrt, ctx.h), (ctx.omega0_sqrt, ctx.omega0)):
+        assert np.max(np.abs(root @ root - a)) <= 4 * np.finfo(float).eps * np.max(np.abs(a))
 
 
 def test_compatibility_solved_and_corrupted(ctx_plus):
