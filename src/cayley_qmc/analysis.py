@@ -56,11 +56,18 @@ class TransferSeries:
 
     def hat(self, n: int, branch: Branch) -> float:
         ordered_sign(branch)  # refuses a branch that is not ordered
+        self._refuse_overflow()
         return self.rho1_hat + self.rho2_hat * self.lam**n
 
     def check(self, n: int, branch: Branch) -> float:
         r = ordered_sign(branch) * self.rho1_check
+        self._refuse_overflow()
         return r + (-r) * self.lam**n
+
+    def _refuse_overflow(self) -> None:
+        # an inf constant would make the series nan (inf - inf), even at n = 0
+        if not all(map(math.isfinite, (self.rho1_hat, self.rho2_hat, self.rho1_check, self.lam))):
+            raise DomainError(f"transfer series constants overflow a float: {self}")
 
 
 def transfer_series(p: ModelParams) -> TransferSeries:

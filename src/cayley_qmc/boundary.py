@@ -3,10 +3,17 @@
 Solves the fixed-point system for the per-site boundary matrix h and the root
 weight omega0, classifies the parameter region through the discriminant
 Delta(theta), and covers the pure-XY special case j0 = 0.
+
+Each branch's solution is built and checked (fixed-point residual and
+normalization) once per process and parameter set, then shared: every
+solve_* call for that (params, branch) returns the same BoundarySolution, so
+its h and omega0 are read-only.  Refusals are not cached; each call raises
+them again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -64,7 +71,9 @@ class BoundarySolution:
 
     Every solution is diagonal: h = alpha*1 and omega0 = (1/alpha)*1 on the
     uniform branches (alpha set), h = xi0*1 + ordered_sign(branch)*xi3*sz and
-    omega0 = (1/xi0)*1 on the ordered ones (xi0 and xi3 > 0 set).
+    omega0 = (1/xi0)*1 on the ordered ones (xi0 and xi3 > 0 set).  Solutions
+    are per-process and shared between callers (see the module docstring), so
+    h and omega0 are read-only arrays.
     """
 
     branch: Branch
@@ -211,15 +220,14 @@ def _solution(p: ModelParams, branch: Branch, h: np.ndarray, omega0: np.ndarray,
     eq1 = abs(normalized_trace(omega0 @ h) - 1)
     if eq1 > 1e-14:
         raise ModelInconsistencyError(f"{branch.value} branch violates the normalization: |Tr(w0 h)-1| = {eq1:.3e}")
+    h.setflags(write=False)
+    omega0.setflags(write=False)
     return BoundarySolution(branch=branch, h=h, omega0=omega0, residual=residual, **fields)
 
 
 def solve_disordered(p: ModelParams) -> BoundarySolution:
     """The uniform solution h = (1/C1) * 1, omega0 = C1 * 1."""
-    c = transfer_coeffs(p)
-    alpha = 1 / c.c1
-    eye = np.eye(2, dtype=complex)
-    return _solution(p, Branch.DISORDERED, alpha * eye, (1 / alpha) * eye, alpha=alpha)
+    return _checked_solution(p, Branch.DISORDERED)
 
 
 def ordered_xi(p: ModelParams) -> tuple[float, float]:
@@ -269,20 +277,35 @@ def _ordered_solution(p: ModelParams, branch: Branch) -> BoundarySolution:
     return _solution(p, branch, h, (1 / xi0) * eye, xi0=xi0, xi3=xi3)
 
 
+# typed: a str equal to a branch's value keeps its own entry, so it is refused as without the memo
+@functools.lru_cache(maxsize=256, typed=True)
+def _checked_solution(p: ModelParams, branch: Branch) -> BoundarySolution:
+    """The branch's solution, built and checked on the first call per (frozen) parameter set.
+
+    Every solver goes through here; a refusal raises and is not cached.
+    """
+    if branch is Branch.DISORDERED:
+        alpha = 1 / transfer_coeffs(p).c1
+    elif branch is Branch.XY_ONLY:
+        if p.j0 != 0:
+            raise DomainError(f"XY-only branch requires j0 = 0, got {p.j0}")
+        alpha = 1 / transfer_coeffs_numeric(p).c1
+    else:
+        return _ordered_solution(p, branch)
+    eye = np.eye(2, dtype=complex)
+    return _solution(p, branch, alpha * eye, (1 / alpha) * eye, alpha=alpha)
+
+
 def solve_ordered(p: ModelParams) -> tuple[BoundarySolution, BoundarySolution] | None:
     """The pair (h, h') = xi0*1 +- xi3*sz, present exactly when Delta > 0."""
     if delta_theta(p) <= 0:
         return None
-    return _ordered_solution(p, Branch.ORDERED_PLUS), _ordered_solution(p, Branch.ORDERED_MINUS)
+    return _checked_solution(p, Branch.ORDERED_PLUS), _checked_solution(p, Branch.ORDERED_MINUS)
 
 
 def solve_xy_only(p: ModelParams) -> BoundarySolution:
     """The unique diagonal solution at j0 = 0, from the numeric Phi(1) oracle."""
-    if p.j0 != 0:
-        raise DomainError(f"XY-only branch requires j0 = 0, got {p.j0}")
-    alpha = 1 / transfer_coeffs_numeric(p).c1
-    eye = np.eye(2, dtype=complex)
-    return _solution(p, Branch.XY_ONLY, alpha * eye, (1 / alpha) * eye, alpha=alpha)
+    return _checked_solution(p, Branch.XY_ONLY)
 
 
 def xy_alpha_report(p: ModelParams) -> XYAlphaReport:
@@ -302,15 +325,10 @@ def xy_alpha_report(p: ModelParams) -> XYAlphaReport:
 def solve_branch(p: ModelParams, branch: Branch) -> BoundarySolution:
     """The solution on one branch, with the refusals of the solver that owns it.
 
-    An ordered branch is built and checked alone: the same solution, bit for
-    bit, as its half of solve_ordered, without the other half's fixed-point
-    check.
+    An ordered branch is the very object its half of solve_ordered returns,
+    built and checked alone on first use.
     """
-    if branch is Branch.DISORDERED:
-        return solve_disordered(p)
-    if branch is Branch.XY_ONLY:
-        return solve_xy_only(p)
-    if delta_theta(p) <= 0:
+    if branch in _ORDERED_SIGN and delta_theta(p) <= 0:
         raise DomainError(f"no ordered solutions: Delta(theta) <= 0 at {p}")
-    return _ordered_solution(p, branch)
+    return _checked_solution(p, branch)
 

@@ -154,17 +154,27 @@ def _swap_middle(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(8, 8))
 
 
+def _pauli_string(axes: str) -> np.ndarray:
+    """The read-only 3-site Pauli string on (parent, child 1, child 2), e.g. "IXX"."""
+    a, b, c = (PAULI[axis] for axis in axes)
+    s = kron(kron(a, b), c)
+    s.setflags(write=False)
+    return s
+
+
+_III, _IXX, _IYY, _IZZ, _ZIZ, _ZZI = map(_pauli_string, ("III", "IXX", "IYY", "IZZ", "ZIZ", "ZZI"))
+
+
 def vertex_operator_closed(p: ModelParams) -> np.ndarray:
     """Six-term expansion gamma1*III + gamma2*(IXX + IYY) + gamma3*IZZ + delta1*(ZIZ + ZZI)."""
     c = operator_coeffs(p)
-    i, x, y, z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
     return (
-        c.gamma1 * kron(kron(i, i), i)
-        + c.gamma2 * kron(kron(i, x), x)
-        + c.gamma2 * kron(kron(i, y), y)
-        + c.gamma3 * kron(kron(i, z), z)
-        + c.delta1 * kron(kron(z, i), z)
-        + c.delta1 * kron(kron(z, z), i)
+        c.gamma1 * _III
+        + c.gamma2 * _IXX
+        + c.gamma2 * _IYY
+        + c.gamma3 * _IZZ
+        + c.delta1 * _ZIZ
+        + c.delta1 * _ZZI
     )
 
 

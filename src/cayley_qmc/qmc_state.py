@@ -189,7 +189,11 @@ def multiply_observables(a: Observable, b: Observable) -> Observable:
 def _diagonal_boundary(a: np.ndarray, name: str) -> np.ndarray:
     """The boundary matrix as complex, refused unless 2x2 diagonal with real nonnegative entries."""
     a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2) or not (np.array_equal(a, np.diag(a.diagonal().real)) and np.all(a.diagonal().real >= 0)):
+    # scalar tests: a nan entry fails every comparison, so it is refused
+    if a.shape != (2, 2) or not (
+        a[0, 1] == 0 and a[1, 0] == 0 and a[0, 0].imag == 0 and a[1, 1].imag == 0
+        and a[0, 0].real >= 0 and a[1, 1].real >= 0
+    ):
         raise DomainError(f"boundary {name} must be diagonal with real nonnegative entries, got {a.tolist()}")
     return a
 
@@ -201,7 +205,11 @@ class EvalContext:
     Every boundary solution is diagonal (alpha*1, or xi0*1 +- xi3*sz on the
     ordered pair), so h and omega0 are accepted only as 2x2 diagonal matrices
     with real nonnegative entries, a DomainError otherwise, and their square
-    roots are entrywise.
+    roots are entrywise.  `create` takes the branch's solution from
+    boundary.solve_branch: it is per-process and shared with every other
+    caller that solves the same (params, branch), so its h and omega0 (and
+    this context's) are read-only; a refusal is not cached and raises on every
+    call.
     """
 
     params: ModelParams
@@ -299,8 +307,11 @@ def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, tuple[np.n
     cached on the context.
     """
     if "channel" not in ctx._cache:
-        a = ctx.vertex.reshape((2,) * 6)
-        t = np.einsum("pijabc,qijxyz->pqaxbycz", a, a.conj()).reshape(4, 4, 4, 4) / 4
+        # A as (parent, children i j, inputs a b c): the sum runs over ij, then
+        # (p, q, a, b, c, a', b', c') is reordered to (p, q, a, a', b, b', c, c')
+        m = ctx.vertex.reshape(2, 4, 8)
+        pq = np.einsum("pia,qib->pqab", m, m.conj()).reshape((2,) * 8)
+        t = pq.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(4, 4, 4, 4) / 4
         eye, h = PAULI["I"].reshape(4), ctx.h.reshape(4)
         spine = (np.einsum("oabc,a,c->ob", t, eye, h), np.einsum("oabc,a,b->oc", t, eye, h))
         ctx._cache["channel"] = t, np.einsum("oabc,b,c->oa", t, h, h), spine

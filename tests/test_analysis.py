@@ -184,6 +184,18 @@ def test_closed_forms_refuse_overflow_instead_of_nan():
         quasi_gap(p)
 
 
+def test_transfer_series_refuses_overflow_instead_of_nan():
+    # 2 C2 C3^2 xi3 overflows here while the hat constants stay finite: with
+    # rho1_check = inf the check series would be inf - inf = nan, even at n = 0
+    p = ModelParams(1.8730946195190907, -1.5183071189741324, 40.43133304755668)
+    ts = transfer_series(p)
+    assert ts.rho1_check == math.inf and math.isfinite(ts.rho1_hat)
+    for branch in (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS):
+        for series in (ts.hat, ts.check):
+            with pytest.raises(DomainError, match="overflow"):
+                series(0, branch)
+
+
 def test_projector_refuses_depths_beyond_a_double():
     p = ModelParams(1.0, 0.3, 1.0)
     assert projector_expectation_closed(p, 1000, Branch.ORDERED_PLUS, "P") == 0.0  # underflows, a fine answer

@@ -6,6 +6,7 @@ import pytest
 from cayley_qmc.boundary import (
     Branch,
     Classification,
+    _checked_solution,
     _solution,
     dd_threshold,
     delta_theta,
@@ -20,7 +21,7 @@ from cayley_qmc.boundary import (
 )
 from cayley_qmc.errors import DomainError, ModelInconsistencyError, SingularParameterError, SolutionNotPositiveError
 from cayley_qmc.linalg import normalized_trace
-from cayley_qmc.model_ops import ModelParams, transfer_coeffs
+from cayley_qmc.model_ops import ModelParams, transfer_coeffs, vertex_operator
 
 
 def test_delta_boundary_point():
@@ -141,6 +142,7 @@ def test_solve_branch_is_its_half_of_solve_ordered(j0, j, beta):
     pair = solve_ordered(p)
     for branch, want in zip((Branch.ORDERED_PLUS, Branch.ORDERED_MINUS), pair):
         got = solve_branch(p, branch)
+        assert got is want
         assert (got.branch, got.xi0, got.xi3, got.alpha) == (want.branch, want.xi0, want.xi3, want.alpha)
         assert got.residual.hex() == want.residual.hex()
         assert got.h.tobytes() == want.h.tobytes() and got.omega0.tobytes() == want.omega0.tobytes()
@@ -214,3 +216,58 @@ def test_fixed_point_check_is_relative_for_small_h():
         _solution(p, Branch.DISORDERED, 1e-100 * eye, 1e100 * eye)
     sol = solve_disordered(p)
     assert 0 < sol.residual <= 1e-10 * np.linalg.norm(sol.h)
+
+
+def test_each_solution_is_built_once_shared_and_read_only():
+    ordered, xy = ModelParams(1.0, 0.3, 1.2), ModelParams(0.0, 1.0, 0.7)
+    plus, minus = solve_ordered(ordered)
+    for p, branch, sol in (
+        (ordered, Branch.DISORDERED, solve_disordered(ordered)),
+        (ordered, Branch.ORDERED_PLUS, plus),
+        (ordered, Branch.ORDERED_MINUS, minus),
+        (xy, Branch.XY_ONLY, solve_xy_only(xy)),
+    ):
+        assert solve_branch(p, branch) is sol
+        assert solve_branch(ModelParams(p.j0, p.j, p.beta), branch) is sol  # an equal key, not the same object
+        for a in (sol.h, sol.omega0):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+    assert all(s is t for s, t in zip(solve_ordered(ordered), (plus, minus)))
+
+
+@pytest.mark.parametrize(
+    ("p", "branch", "error"),
+    [
+        (ModelParams(0.1, 0.0, 0.1), Branch.ORDERED_PLUS, DomainError),  # Delta < 0
+        (ModelParams(1.0, 2.0, 0.5), Branch.ORDERED_MINUS, SolutionNotPositiveError),  # |J| > J0
+        (ModelParams(0.5, 1.0, 0.7), Branch.XY_ONLY, DomainError),  # j0 != 0
+        (ModelParams(1.0, 1.0, 0.5), Branch.ORDERED_PLUS, SingularParameterError),  # J = J0
+    ],
+)
+def test_refusals_are_not_cached(p, branch, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            solve_branch(p, branch)
+
+
+@pytest.mark.parametrize(
+    ("zero", "negative_zero", "branches"),
+    [
+        (ModelParams(0.0, 1.0, 0.7), ModelParams(-0.0, 1.0, 0.7), (Branch.XY_ONLY, Branch.DISORDERED)),
+        (
+            ModelParams(1.0, 0.0, 1.0),
+            ModelParams(1.0, -0.0, 1.0),
+            (Branch.DISORDERED, Branch.ORDERED_PLUS, Branch.ORDERED_MINUS),
+        ),
+    ],
+)
+def test_signed_zeros_share_one_solution_with_the_same_bits(zero, negative_zero, branches):
+    # the two parameter sets are equal keys, so the memo hands the first one's
+    # solution to both: built apart (memos bypassed) they agree bit for bit
+    assert zero == negative_zero
+    assert vertex_operator.__wrapped__(zero).tobytes() == vertex_operator.__wrapped__(negative_zero).tobytes()
+    for branch in branches:
+        assert solve_branch(zero, branch) is solve_branch(negative_zero, branch)
+        a, b = (_checked_solution.__wrapped__(p, branch) for p in (zero, negative_zero))
+        assert (a.h.tobytes(), a.omega0.tobytes()) == (b.h.tobytes(), b.omega0.tobytes())
+        assert repr((a.residual, a.xi0, a.xi3, a.alpha)) == repr((b.residual, b.xi0, b.xi3, b.alpha))

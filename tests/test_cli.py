@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,25 @@ def test_coeffs_includes_xy_trio_at_j0_zero(capsys):
     doc = json.loads(out)
     assert doc["r1"] == pytest.approx(9 / 16)
     assert doc["r2"] == pytest.approx(3 / 8)
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
+GOLDEN_POINTS = {
+    "ordered": ("1", "0.3", "1.2"),
+    "unique": ("0.1", "0", "0.1"),
+    "outer": ("1", "2", "0.5"),  # |J| > J0: an ordered_note, no ordered branches
+    "xy": ("0", "1", "0.7"),
+}
+
+
+@pytest.mark.parametrize("command", ["coeffs", "solve"])
+@pytest.mark.parametrize("point", GOLDEN_POINTS)
+def test_stdout_is_the_recorded_bytes(capsys, command, point):
+    # the files hold an earlier release's output: any drift in a digit or a key shows here
+    j0, j, beta = GOLDEN_POINTS[point]
+    code, out, _ = run_cli(capsys, [command, "--j0", j0, "--j", j, "--beta", beta])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{command}-{point}.json").read_bytes()
 
 
 def test_solve_ordered_point(capsys):

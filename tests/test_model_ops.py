@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_qmc.errors import DomainError
-from cayley_qmc.linalg import normalized_trace
+from cayley_qmc.linalg import kron, normalized_trace
 from cayley_qmc.model_ops import (
     PAULI,
     ModelParams,
@@ -116,6 +118,23 @@ def test_closed_expansion_matches_product():
         for traced in (np.einsum("abcdec->abde", t) / 2, np.einsum("abcdbe->acde", t) / 2):  # keep (0, 1), (0, 2)
             assert np.max(np.abs(traced)) < 1e-12
     assert worst < 1e-10, f"recorded deviation {worst:.3e}"
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.01, 6.0))
+def test_closed_expansion_is_the_kron_built_sum_bit_for_bit(j0, j, beta):
+    p = ModelParams(j0, j, beta)
+    c = operator_coeffs(p)
+    i, x, y, z = (PAULI[axis] for axis in "IXYZ")
+    want = (
+        c.gamma1 * kron(kron(i, i), i)
+        + c.gamma2 * kron(kron(i, x), x)
+        + c.gamma2 * kron(kron(i, y), y)
+        + c.gamma3 * kron(kron(i, z), z)
+        + c.delta1 * kron(kron(z, i), z)
+        + c.delta1 * kron(kron(z, z), i)
+    )
+    assert vertex_operator_closed(p).tobytes() == want.tobytes()
 
 
 def test_transfer_coeffs_examples():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -17,14 +18,15 @@ from cayley_qmc.analysis import (
     projector_expectation_closed,
     projector_observable,
 )
-from cayley_qmc.boundary import Branch, BoundarySolution, delta_theta
-from cayley_qmc.errors import DomainError, ResourceLimitError
+from cayley_qmc.boundary import Branch, BoundarySolution, delta_theta, solve_branch, solve_ordered
+from cayley_qmc.errors import CayleyQmcError, DomainError, ResourceLimitError
 from cayley_qmc.linalg import dagger, kron_chain, normalized_trace
 from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs, vertex_channel
 from cayley_qmc.qmc_state import (
     EvalContext,
     Observable,
     ObservableTerm,
+    _diagonal_boundary,
     compatibility_residual,
     channel_tensor,
     correlation,
@@ -164,6 +166,20 @@ def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disorder
             ):
                 got = (spine @ b1.reshape(4)).reshape(2, 2)
                 assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.05, 6.0))
+def test_channel_tensor_is_the_six_index_einsum_bit_for_bit(j0, j, beta):
+    p = ModelParams(j0, j, beta)
+    for branch in Branch:
+        try:
+            ctx = EvalContext.create(p, branch)
+        except CayleyQmcError:
+            continue
+        a = ctx.vertex.reshape((2,) * 6)
+        want = np.einsum("pijabc,qijxyz->pqaxbycz", a, a.conj()).reshape(4, 4, 4, 4) / 4
+        assert channel_tensor(ctx)[0].tobytes() == want.tobytes()
 
 
 def test_contract_vertex_fixed_point(ctx_plus, ctx_minus, ctx_disordered):
@@ -381,6 +397,33 @@ def test_context_refuses_a_boundary_that_is_not_psd():
         bad = BoundarySolution(branch=Branch.DISORDERED, h=h, omega0=omega0, residual=float("nan"))
         with pytest.raises(DomainError):
             EvalContext(params=ORDERED_POINT, solution=bad)
+
+
+def test_diagonal_boundary_refuses_what_the_array_test_refuses():
+    # the array form the scalar test replaced, kept as its reference
+    def array_test(a):
+        return bool(np.array_equal(a, np.diag(a.diagonal().real)) and np.all(a.diagonal().real >= 0))
+
+    nan, inf = float("nan"), float("inf")
+    diagonal = [0.0, -0.0, 1.0, -1.0, complex(0, -0.0), complex(-0.0, -0.0), complex(1, 1e-300), nan, complex(1, nan), inf]
+    off = [0.0, -0.0, complex(-0.0, -0.0), 1e-300, complex(0, nan)]
+    for d0, d1, x in itertools.product(diagonal, diagonal, off):
+        for a in (np.array([[d0, x], [0, d1]], dtype=complex), np.array([[d0, 0], [x, d1]], dtype=complex)):
+            try:
+                _diagonal_boundary(a, "h")
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert accepted == array_test(a), a
+
+
+def test_context_shares_the_solved_boundary():
+    p = ModelParams(1.0, 0.3, 1.2)
+    pair = solve_ordered(p)
+    for branch, sol in zip((Branch.ORDERED_PLUS, Branch.ORDERED_MINUS), pair):
+        ctx = EvalContext.create(p, branch)
+        assert ctx.solution is sol and ctx.h is sol.h and ctx.omega0 is sol.omega0
+    assert EvalContext.create(p, Branch.DISORDERED).solution is solve_branch(p, Branch.DISORDERED)
 
 
 @pytest.mark.parametrize(
