@@ -54,6 +54,24 @@ def test_stdout_is_the_recorded_bytes(capsys, command, point):
     assert out.encode() == (GOLDEN / f"{command}-{point}.json").read_bytes()
 
 
+ENGINE_GOLDEN = {
+    # the recursive engine's output: a moved digit in a vertex value shows here
+    "cluster-plus": ["cluster", "--j0", "1", "--j", "0.3", "--beta", "1.2", "--branch", "plus",
+                     "--max-level", "16", "--format", "json"],
+    "cluster-minus": ["cluster", "--j0", "1", "--j", "0.3", "--beta", "1.2", "--branch", "minus",
+                      "--max-level", "16", "--format", "json"],
+    "evaluate-readme": ["evaluate", "--observable", str(GOLDEN / "readme-obs.json"), "--branch", "plus",
+                        "--j0", "1", "--j", "0.5", "--beta", "0.8"],
+}
+
+
+@pytest.mark.parametrize("name", ENGINE_GOLDEN)
+def test_engine_stdout_is_the_recorded_bytes(capsys, name):
+    code, out, _ = run_cli(capsys, ENGINE_GOLDEN[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def test_solve_ordered_point(capsys):
     code, out, _ = run_cli(capsys, ["solve", "--j0", "1", "--j", "0.5", "--beta", "0.8"])
     assert code == 0
