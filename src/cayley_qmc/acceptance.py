@@ -191,6 +191,8 @@ def criterion_oracle_equivalence() -> CriterionResult:
 def criterion_projector_expectations() -> CriterionResult:
     """6: closed ball-projector expectations match evaluation for n = 1, 2, 3."""
     worst, sum_ok = 0.0, True
+    # each projector is built once, so its contraction plan serves all four states
+    projectors = {(n, proj): analysis.projector_observable(n, proj) for n in (1, 2, 3) for proj in ("P", "Q")}
     for p in (ModelParams(1.0, 0.0, 1.0), ORDERED_POINT):
         for branch in (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS):
             ctx = EvalContext.create(p, branch)
@@ -198,7 +200,7 @@ def criterion_projector_expectations() -> CriterionResult:
                 values = {}
                 for proj in ("P", "Q"):
                     closed = analysis.projector_expectation_closed(p, n, branch, proj)
-                    ev = eval_recursive(ctx, analysis.projector_observable(n, proj)).real
+                    ev = eval_recursive(ctx, projectors[n, proj]).real
                     worst = max(worst, abs(closed - ev))
                     values[proj] = closed
                 sum_ok &= values["P"] + values["Q"] <= 1 + 1e-12

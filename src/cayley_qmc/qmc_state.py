@@ -22,15 +22,23 @@ observable whose deepest factors sit at level m is contracted from level m
 down, each vertex below which the observable acts on nothing absorbing the
 boundary pair (h, h) of its children; for diagonal factors this coincides
 with sandwiching h^{1/2} directly at level m.  The per-vertex channel is a
-4x4x4x4 tensor built once per context (channel_tensor), with its two 4x4
-spine maps: the channel of a factor-free vertex with exactly one child in the
-support (a chain vertex).  Vertices are (level, index) integers; each level's
-new subtrees are contracted in one batched einsum, and equal subtrees (same
-factors below, e.g. a ball projector's) are interned and contracted once, so
-a level-uniform observable costs O(depth) and a product with nothing shared
-costs one row per active vertex.  Levels that hold only chain vertices, such
-as the bare path down to a deep marker or to a translated factor, are walked
-one 4x4 matvec per vertex with no interning.
+4x4x4x4 tensor built once per context (channel_tensor), with its 4x4 spine
+map: the channel of a factor-free vertex with exactly one child in the
+support (a chain vertex).  Each product term is evaluated in two parts:
+
+* a plan, which depends only on the term and is built on its first
+  evaluation and kept on the (immutable) term: it visits only the levels
+  where something happens (a factor, or two touched subtrees meeting),
+  carries every chain vertex in between as a count of spine maps, and
+  interns equal subtrees (e.g. a ball projector's), so a level-uniform
+  observable costs O(depth) and a product with nothing shared costs one row
+  per active vertex;
+* a replay per context, which does only the numeric work: one einsum for
+  all leaves, k matvecs per chain, one einsum per level for the inner
+  vertices, and the trace against omega0 at the root.
+
+Evaluating one observable on several states, as the phase-transition
+witnesses do, therefore repeats only the replay.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +54,7 @@ from .boundary import Branch, BoundarySolution, solve_branch
 from .errors import DomainError, ResourceLimitError
 from .linalg import dagger, kron_chain, normalized_trace
 from .model_ops import PAULI, ModelParams, pauli, vertex_operator
-from .tree import TreeCoord, ball_vertices, concat
+from .tree import ROOT, TreeCoord, ball_vertices, concat
 
 MAX_DENSE_SITES = 7  # dims beyond 2^7 = 128 are refused on the dense route
 MAX_REDUCED_DEPTH = 2  # the 15-site ball, reduced to its 7 inner sites
@@ -54,7 +62,14 @@ MAX_REDUCED_DEPTH = 2  # the 15-site ball, reduced to its 7 inner sites
 
 @dataclass(frozen=True)
 class ObservableTerm:
-    """One site-factorized term: coeff times a finite product of 2x2 factors."""
+    """One site-factorized term: coeff times a finite product of 2x2 factors.
+
+    A term never changes once built: each factor is stored as a read-only
+    complex copy, made once per distinct input array (a projector's sites
+    share one), so writing to the caller's array afterwards changes nothing
+    and writing to a stored factor raises ValueError.  That is what lets the
+    term carry its contraction plan (`_plan`, built on first evaluation).
+    """
 
     coeff: complex
     factors: tuple[tuple[TreeCoord, np.ndarray], ...]
@@ -63,12 +78,29 @@ class ObservableTerm:
         sites = [s for s, _ in self.factors]
         if len(set(sites)) != len(sites):
             raise DomainError("term factors must sit on distinct sites")
-        factors = tuple((s, np.asarray(m, dtype=complex)) for s, m in self.factors)
-        for _, m in factors:
-            if m.shape != (2, 2):
-                raise DomainError(f"factors must be 2x2, got shape {m.shape}")
+        copies: dict[int, np.ndarray] = {}  # id of an input array -> its read-only copy
+        factors = []
+        for site, m in self.factors:
+            a = copies.get(id(m))
+            if a is None:
+                a = copies[id(m)] = np.array(m, dtype=complex)
+                if a.shape != (2, 2):
+                    raise DomainError(f"factors must be 2x2, got shape {a.shape}")
+                a.setflags(write=False)
+            factors.append((site, a))
         object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factors", tuple(factors))
+
+    @classmethod
+    def _of_frozen(cls, coeff: complex, factors: Iterable[tuple[TreeCoord, np.ndarray]]) -> "ObservableTerm":
+        """A term on distinct sites from factors no caller can write: nothing is copied.
+
+        The factors are another term's, or products made by the caller and frozen.
+        """
+        term = object.__new__(cls)
+        object.__setattr__(term, "coeff", complex(coeff))
+        object.__setattr__(term, "factors", tuple(factors))
+        return term
 
     @property
     def factor_map(self) -> dict[TreeCoord, np.ndarray]:
@@ -77,6 +109,11 @@ class ObservableTerm:
     @property
     def depth(self) -> int:
         return max((s.level for s, _ in self.factors), default=0)
+
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """The term's contraction plan, which depends on no context: built once, replayed per context."""
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -170,7 +207,7 @@ def _factor_from_json(f) -> tuple[TreeCoord, np.ndarray]:
 def relocate_observable(f: Observable, g: TreeCoord) -> Observable:
     """Relocate every factor site x to g o x."""
     return Observable(
-        tuple(ObservableTerm(t.coeff, tuple((concat(g, s), m) for s, m in t.factors)) for t in f.terms)
+        tuple(ObservableTerm._of_frozen(t.coeff, ((concat(g, s), m) for s, m in t.factors)) for t in f.terms)
     )
 
 
@@ -181,8 +218,13 @@ def multiply_observables(a: Observable, b: Observable) -> Observable:
         for tb in b.terms:
             merged = ta.factor_map
             for site, m in tb.factors:
-                merged[site] = merged[site] @ m if site in merged else m
-            terms.append(ObservableTerm(ta.coeff * tb.coeff, tuple(merged.items())))
+                if site in merged:
+                    product = merged[site] @ m
+                    product.setflags(write=False)
+                    merged[site] = product
+                else:
+                    merged[site] = m
+            terms.append(ObservableTerm._of_frozen(ta.coeff * tb.coeff, merged.items()))
     return Observable(tuple(terms))
 
 
@@ -293,18 +335,19 @@ def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
     return _trace_weight(weight_matrix(ctx, n), n + 1, obs)
 
 
-def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one-vertex channel as a trilinear tensor, and its contractions with h.
 
     T[(p,q),(a,a'),(b,b'),(c,c')] = 1/4 sum_ij A[p,i,j,a,b,c] conj(A[q,i,j,a',b',c'])
     maps the flattened 2x2 inputs (root, child 1, child 2) to the flattened
     Tr_children(A (root x b1 x b2) A*), normalized, as model_ops.vertex_channel
     does.  T_h[(p,q),(a,a')] is T with both children set to h: the value of a
-    vertex whose subtrees the observable does not touch.  The spine pair
-    (S_1, S_2) is T with the identity on the root and h on the other child:
-    S_1 maps the value of child 1 to the value of a factor-free vertex whose
-    child 2 is untouched, and S_2 the other way round.  Built on first use and
-    cached on the context.
+    vertex whose subtrees the observable does not touch.  The spine map S is T
+    with the identity on the root and h on child 2: it maps the value of the
+    one touched child to the value of a factor-free vertex.  A is exactly
+    symmetric under exchanging the children, so T equals T with its two child
+    slots swapped, bit for bit, and S serves a touched child 2 as well.  Built
+    on first use and cached on the context.
     """
     if "channel" not in ctx._cache:
         # A as (parent, children i j, inputs a b c): the sum runs over ij, then
@@ -313,7 +356,7 @@ def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, tuple[np.n
         pq = np.einsum("pia,qib->pqab", m, m.conj()).reshape((2,) * 8)
         t = pq.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(4, 4, 4, 4) / 4
         eye, h = PAULI["I"].reshape(4), ctx.h.reshape(4)
-        spine = (np.einsum("oabc,a,c->ob", t, eye, h), np.einsum("oabc,a,b->oc", t, eye, h))
+        spine = np.einsum("oabc,a,c->ob", t, eye, h)
         ctx._cache["channel"] = t, np.einsum("oabc,b,c->oa", t, h, h), spine
     return ctx._cache["channel"]
 
@@ -324,9 +367,11 @@ def eval_recursive(ctx: EvalContext, obs: Observable) -> complex:
     Per term, only the ancestors of the support are built.  A vertex whose
     children lie outside the support absorbs the solved boundary pair (h, h)
     of its children; a factor-free vertex with one child in the support maps
-    that child's value through its spine map; the others contract their factor
+    that child's value through the spine map; the others contract their factor
     with their children's values; untouched subtrees contribute h through the
-    fixed point and never get built.
+    fixed point and never get built.  Each term's structure is worked out once
+    (ObservableTerm._plan), so evaluating one observable on several contexts
+    repeats only the numeric work.
     """
     total = 0j
     for term in obs.terms:
@@ -340,74 +385,156 @@ _EYE_BYTES = PAULI["I"].tobytes()
 _UNTOUCHED = 0  # the subtree id of a child outside the support: its value is h
 
 
-def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
-    """One product term, contracted one level at a time from its deepest factor up.
+class _Step(NamedTuple):
+    """The subtrees one event level adds, in id order: chain tops, then inner vertices."""
 
-    Vertices are (level, index) integers, and a vertex is one of three kinds:
-    a leaf (no touched child) is T_h times its factor; a chain vertex (no
-    factor, exactly one touched child) is its spine map times that child's
-    value; every other vertex is T contracted with its factor and both
-    children.  Each subtree is interned by (factor bytes, left subtree id,
-    right subtree id), so equal subtrees, such as those of a ball projector,
-    are contracted once; a level's new leaves and inner vertices are
-    contracted together in one einsum, and einsum gives each row the bits it
-    would give that row alone.  A level with no factor whose active vertices
-    all have distinct parents holds only chain vertices: such runs of levels
-    are walked vertex by vertex, one 4x4 matvec each, with no interning.  Every
-    vertex kind has one kernel wherever it occurs, so a subtree's value depends
-    only on the subtree, and a shared subtree carries the very value an
-    unshared evaluation computes.
+    tops: tuple[tuple[int, int], ...]  # (bottom id, k): the spine map applied k times to the bottom's value
+    inner: np.ndarray | None  # the inner vertices' factors, one flattened row each
+    children: np.ndarray | None  # their left and right child ids, shape (2, rows)
+
+
+class _Plan(NamedTuple):
+    size: int  # rows of the value table: h, the steps' subtrees in order, then the leaves
+    leaves: np.ndarray | None  # the leaves' factors, one flattened row each, last leaf first
+    steps: tuple[_Step, ...]
+    root: int
+
+
+def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
+    """One product term: its plan, built once per term, replayed on this context.
+
+    The replay does only numeric work on a table of subtree values: row 0 is
+    h, the untouched subtree; every leaf of the term is T_h times its factor,
+    all in one einsum, into the table's last rows (leaf ids are negative,
+    counted from the end); each step then adds its chain tops (k spine matvecs
+    each) and its inner vertices (T contracted with the factor and both
+    children, one einsum); the root's value is traced against omega0.  Every
+    vertex kind has one kernel wherever it occurs, and einsum gives each row
+    the bits it would give that row alone, so a subtree's value depends only
+    on the subtree: a shared subtree carries the very value an unshared,
+    vertex-by-vertex evaluation computes.
     """
     t, t_h, spine = channel_tensor(ctx)
-    sites = [(site.level, site.index, mat) for site, mat in term.factors]
-    depth = max((level for level, _, _ in sites), default=0)
-    factors: list[dict[int, bytes]] = [{0: _EYE_BYTES}] + [{} for _ in range(depth)]
-    for level, index, mat in sites:
-        factors[level][index] = mat.tobytes()
-    values = [ctx.h.reshape(4)]  # subtree id -> its value, flattened
-    ids: dict[tuple[bytes, int, int], int] = {}
-    below: dict[int, int] = {}  # index -> subtree id, one level down
-    level = depth
-    while level >= 0:
-        here = factors[level]
-        if not here and len({i >> 1 for i in below}) == len(below):
-            # a run of chain levels: one matvec per vertex, nothing keyed or interned
-            chains = [(i, values[v]) for i, v in below.items()]
-            while not factors[level] and len({i >> 1 for i, _ in chains}) == len(chains):
-                chains = [(i >> 1, spine[i & 1] @ v) for i, v in chains]
-                level -= 1
-            below = {}
-            for i, v in chains:
-                below[i] = len(values)
-                values.append(v)
-            continue
+    plan = term._plan
+    values = np.empty((plan.size, 4), dtype=complex)
+    values[_UNTOUCHED] = ctx.h.reshape(4)
+    if plan.leaves is not None:
+        values[-len(plan.leaves) :] = np.einsum("oa,na->no", t_h, plan.leaves)
+    n = 1
+    for tops, inner, children in plan.steps:
+        for bottom, k in tops:
+            x = values[bottom]
+            for _ in range(k):
+                x = spine @ x
+            values[n] = x
+            n += 1
+        if inner is not None:
+            left, right = values[children]
+            values[n : n + len(inner)] = np.einsum("oabc,na,nb,nc->no", t, inner, left, right)
+            n += len(inner)
+    return normalized_trace(ctx.omega0 @ values[plan.root].reshape(2, 2))
+
+
+def _compile(term: ObservableTerm) -> _Plan:
+    """The context-free plan of one term: which subtrees to contract, in which order.
+
+    Levels are visited deepest first, but only event levels: a level that
+    holds a factor, a level where two touched subtrees meet, and the root's.
+    Every touched vertex in between is a chain vertex (no factor, or exactly
+    the identity's bytes, and one touched child), so it is carried up as
+    (bottom subtree id, k spine maps still to apply), its index shifted by
+    i >> s, and the levels in between are never visited.  Of the sorted
+    touched indices at level L, adjacent ones a < b meet at level
+    L - (a ^ b).bit_length().  At an event level, a carried chain that
+    reaches a factor or a second touched child is materialized as a chain
+    top, interned by (bottom id, k); leaves and inner vertices are interned by
+    (factor bytes, left id, right id), so equal subtrees, such as those of a
+    ball projector, are contracted once.  A leaf needs no other subtree, so
+    the leaves of all levels are contracted together, first.
+    """
+    if len(term.factors) <= 1:  # one site, or none: its leaf, then one chain up to the root
+        site, mat = term.factors[0] if term.factors else (ROOT, PAULI["I"])
+        if site.level == 0:
+            return _Plan(2, mat.reshape(1, 4), (), -1)
+        return _Plan(3, mat.reshape(1, 4), (_Step(((-1, site.level),), None, None),), 1)
+    by_level: dict[int, dict[int, bytes]] = {0: {0: _EYE_BYTES}}  # the root is always an event
+    raw: dict[int, bytes] = {}  # id of a stored factor -> its bytes, once per distinct array
+    for site, mat in term.factors:
+        if id(mat) not in raw:
+            raw[id(mat)] = mat.tobytes()
+        by_level.setdefault(site.level, {})[site.index] = raw[id(mat)]
+    factor_levels = sorted(by_level)
+    ids: dict[tuple, int] = {}  # interned subtree -> its row: steps' subtrees from 1 up, leaves from -1 down
+    leaves: list[tuple] = []
+    inner: list[tuple] = []  # all steps' inner vertices, in id order
+    steps: list[tuple[tuple[tuple[int, int], ...], int, int]] = []  # (chain tops, inner[start:stop])
+    made = 0  # rows the steps fill
+    # the touched vertices at level `below`: index -> subtree id, and for a carried
+    # chain index -> the spine maps still to apply to that subtree (only where > 0)
+    below, front, lift = factor_levels[-1] + 1, {}, {}
+
+    def top(v: int, k: int) -> int:
+        """The id of the chain top k spine maps above subtree v, interned."""
+        nonlocal made
+        if (v, k) not in ids:
+            made += 1
+            ids[v, k] = made
+            tops.append((v, k))
+        return ids[v, k]
+
+    while below > 0:
+        level = factor_levels[-1]
+        if level < below - 1 and len(front) > 1:  # two touched subtrees may meet first
+            touched = sorted(front)
+            level = max(level, below - min(map(int.__xor__, touched, touched[1:])).bit_length())
+        if level == factor_levels[-1]:
+            factor_levels.pop()
+        shift = below - level - 1
+        if shift:
+            lift = {i >> shift: lift.get(i, 0) + shift for i in front}
+            front = {i >> shift: v for i, v in front.items()}
+        here = by_level.get(level, {})
+        carried = {}  # the chain vertices of this level: index -> (subtree id, spine maps)
+        for j in [j for j in front if j ^ 1 not in front]:
+            if here.get(j >> 1, _EYE_BYTES) == _EYE_BYTES:
+                carried[j >> 1] = front.pop(j), lift.pop(j, 0) + 1
+        tops: list[tuple[int, int]] = []
+        for j, k in lift.items():
+            front[j] = top(front[j], k)
+        vertices = here.keys() | {j >> 1 for j in front}
         keys = {
-            i: (here.get(i, _EYE_BYTES), below.get(2 * i, _UNTOUCHED), below.get(2 * i + 1, _UNTOUCHED))
-            for i in here.keys() | {j >> 1 for j in below}
+            i: (here.get(i, _EYE_BYTES), front.get(2 * i, _UNTOUCHED), front.get(2 * i + 1, _UNTOUCHED))
+            for i in (vertices - carried.keys() if carried else vertices)
         }
-        leaves, chained, inner = [], [], []
-        for k in dict.fromkeys(keys.values()):
-            if k in ids:
+        start = len(inner)
+        for key in dict.fromkeys(keys.values()):
+            if key in ids:
                 continue
-            if k[1] == k[2] == _UNTOUCHED:
-                leaves.append(k)
-            elif k[0] == _EYE_BYTES and _UNTOUCHED in (k[1], k[2]):
-                chained.append(k)
+            if key[1] == key[2] == _UNTOUCHED:
+                leaves.append(key)
+                ids[key] = -len(leaves)
             else:
-                inner.append(k)
-        for n, k in enumerate(leaves + chained + inner, len(values)):
-            ids[k] = n
-        if leaves:
-            values.extend(np.einsum("oa,na->no", t_h, _stack(k[0] for k in leaves)))
-        for _, left, right in chained:
-            values.append(spine[0] @ values[left] if right == _UNTOUCHED else spine[1] @ values[right])
-        if inner:
-            left = np.array([values[k[1]] for k in inner])
-            right = np.array([values[k[2]] for k in inner])
-            values.extend(np.einsum("oabc,na,nb,nc->no", t, _stack(k[0] for k in inner), left, right))
-        below = {i: ids[k] for i, k in keys.items()}
-        level -= 1
-    return normalized_trace(ctx.omega0 @ values[below[0]].reshape(2, 2))
+                inner.append(key)
+                made += 1
+                ids[key] = made
+        if tops or len(inner) > start:
+            steps.append((tuple(tops), start, len(inner)))
+        below, front, lift = level, {i: ids[key] for i, key in keys.items()}, {}
+        for i, (v, k) in carried.items():
+            front[i], lift[i] = v, k
+    tops = []  # the root's chain top, if the root is a chain vertex
+    root = top(front[0], lift[0]) if lift else front[0]
+    if tops:
+        steps.append((tuple(tops), len(inner), len(inner)))
+    if inner:
+        rows = _stack(key[0] for key in inner)
+        children = np.array([[key[1] for key in inner], [key[2] for key in inner]], dtype=np.intp)
+    return _Plan(
+        1 + made + len(leaves),
+        _stack(key[0] for key in reversed(leaves)) if leaves else None,
+        tuple(_Step(t, rows[a:b], children[:, a:b]) if b > a else _Step(t, None, None) for t, a, b in steps),
+        root,
+    )
 
 
 def _stack(factors: Iterable[bytes]) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cayley_qmc
+from cayley_qmc import qmc_state
 from cayley_qmc.analysis import (
     E11,
     marker_expectation_closed,
@@ -150,7 +151,7 @@ def contract_vertex(ctx, root, left, right):
 
 def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
-        t, t_h, (s1, s2) = channel_tensor(ctx)
+        t, t_h, spine = channel_tensor(ctx)
         assert channel_tensor(ctx)[0] is t  # built once per context
         for _ in range(5):
             a, b1, b2 = ((rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for _ in range(3))
@@ -159,13 +160,29 @@ def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disorder
             want = vertex_channel(ctx.vertex, a, ctx.h, ctx.h)
             got = (t_h @ a.reshape(4)).reshape(2, 2)
             assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
-            # the spine maps: no factor at the vertex, h on the untouched child
-            for spine, want in (
-                (s1, vertex_channel(ctx.vertex, PAULI["I"], b1, ctx.h)),
-                (s2, vertex_channel(ctx.vertex, PAULI["I"], ctx.h, b1)),
+            # the spine map: no factor at the vertex, h on the untouched child, on either side
+            got = (spine @ b1.reshape(4)).reshape(2, 2)
+            for want in (
+                vertex_channel(ctx.vertex, PAULI["I"], b1, ctx.h),
+                vertex_channel(ctx.vertex, PAULI["I"], ctx.h, b1),
             ):
-                got = (spine @ b1.reshape(4)).reshape(2, 2)
                 assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.05, 6.0))
+def test_channel_is_exactly_symmetric_in_its_children(j0, j, beta):
+    # A is symmetric under exchanging the children, so one spine map serves both sides
+    p = ModelParams(j0, j, beta)
+    for branch in Branch:
+        try:
+            ctx = EvalContext.create(p, branch)
+        except CayleyQmcError:
+            continue
+        t, _, spine = channel_tensor(ctx)
+        assert t.tobytes() == t.transpose(0, 1, 3, 2).tobytes()
+        other_side = np.einsum("oabc,a,b->oc", t, PAULI["I"].reshape(4), ctx.h.reshape(4))
+        assert other_side.tobytes() == spine.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,27 +229,29 @@ def unshared_recursive(ctx, obs):
     """The recursive route one vertex at a time, with no subtree shared: the reference for sharing.
 
     It applies the engine's per-vertex rule: a leaf is T_h times its factor,
-    a factor-free vertex with one touched child is that side's spine map times
-    the child, and any other vertex contracts T with its factor and both children.
+    a factor-free vertex with one touched child is the spine map times that
+    child, and any other vertex contracts T with its factor and both children.
     """
     t, t_h, spine = channel_tensor(ctx)
-    (term,) = obs.terms
-    fmap = term.factor_map
-    active = {TreeCoord(s.digits[:k]) for s in fmap for k in range(s.level + 1)} | {ROOT}
+    total = 0j
+    for term in obs.terms:
+        fmap = term.factor_map
+        active = {TreeCoord(s.digits[:k]) for s in fmap for k in range(s.level + 1)} | {ROOT}
 
-    def value(x):
-        f = fmap.get(x, PAULI["I"]).reshape(1, 4)
-        kids = [TreeCoord(x.digits + (d,)) for d in (1, 2)]
-        touched = [c in active for c in kids]
-        if not any(touched):
-            return np.einsum("oa,na->no", t_h, f)[0]
-        if sum(touched) == 1 and f.tobytes() == PAULI["I"].tobytes():
-            side = touched.index(True)
-            return spine[side] @ value(kids[side])
-        left, right = (value(c) if c in active else ctx.h.reshape(4) for c in kids)
-        return np.einsum("oabc,na,nb,nc->no", t, f, left.reshape(1, 4), right.reshape(1, 4))[0]
+        def value(x):
+            f = fmap.get(x, PAULI["I"]).reshape(1, 4)
+            kids = [TreeCoord(x.digits + (d,)) for d in (1, 2)]
+            touched = [c in active for c in kids]
+            if not any(touched):
+                return np.einsum("oa,na->no", t_h, f)[0]
+            if sum(touched) == 1 and f.tobytes() == PAULI["I"].tobytes():
+                side = touched.index(True)
+                return spine @ value(kids[side])
+            left, right = (value(c) if c in active else ctx.h.reshape(4) for c in kids)
+            return np.einsum("oabc,na,nb,nc->no", t, f, left.reshape(1, 4), right.reshape(1, 4))[0]
 
-    return term.coeff * normalized_trace(ctx.omega0 @ value(ROOT).reshape(2, 2))
+        total += term.coeff * normalized_trace(ctx.omega0 @ value(ROOT).reshape(2, 2))
+    return total
 
 
 def test_subtree_sharing_is_exact(ctx_plus, ctx_minus, rng):
@@ -253,6 +272,74 @@ def test_subtree_sharing_is_exact(ctx_plus, ctx_minus, rng):
         # factors on the sphere alone: factor-free inner levels above, shared as a ball's are
         sphere = Observable.product({s: E11 for s in ball_vertices(6) if s.level == 6})
         assert eval_recursive(ctx, sphere) == unshared_recursive(ctx, sphere)
+
+
+def _factor(data, shape=(2, 2)):
+    """A factor from Hypothesis: the identity (padding, or a chain vertex) or a small random matrix."""
+    if data.draw(st.booleans(), label="identity"):
+        return PAULI["I"]
+    seed = data.draw(st.integers(0, 2**32 - 1), label="matrix seed")
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / 2
+
+
+def _sparse_term(data, max_depth=40):
+    count = data.draw(st.integers(1, 8), label="factors")
+    digits = st.lists(st.integers(1, 2), min_size=0, max_size=max_depth).map(tuple)
+    sites = data.draw(st.sets(digits, min_size=count, max_size=count), label="sites")
+    factors = {TreeCoord(d): _factor(data) for d in sites}
+    if data.draw(st.booleans(), label="root factor"):
+        factors[ROOT] = _factor(data)
+    coeff = complex(*data.draw(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), label="coeff"))
+    return ObservableTerm(coeff, tuple(factors.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_plan_replay_is_the_vertex_by_vertex_walk_bit_for_bit(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, data):
+    terms = (_sparse_term(data),)
+    if data.draw(st.booleans(), label="two terms"):
+        terms += (_sparse_term(data),)
+    obs = Observable(terms)
+    for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
+        assert eval_recursive(ctx, obs) == unshared_recursive(ctx, obs)
+
+
+def _fresh_copy(obs):
+    return Observable(tuple(ObservableTerm(t.coeff, tuple((s, m.copy()) for s, m in t.factors)) for t in obs.terms))
+
+
+def test_a_reused_plan_gives_the_bits_of_a_fresh_term(ctx_plus, ctx_minus, ctx_disordered, rng):
+    sites = {TreeCoord(tuple(rng.integers(1, 3, size=rng.integers(0, 25)))) for _ in range(6)}
+    for obs in (ball_projector(6, "P"), random_product_observable(rng, sites)):
+        # contexts A, B, then A again on one term, against a fresh copy of the term each time
+        for ctx in (ctx_plus, ctx_minus, ctx_plus, ctx_disordered, ctx_minus):
+            assert eval_recursive(ctx, obs) == eval_recursive(ctx, _fresh_copy(obs))
+
+
+def test_the_plan_is_built_once_per_term(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, monkeypatch):
+    built = []
+    compile_term = qmc_state._compile
+    monkeypatch.setattr(qmc_state, "_compile", lambda term: built.append(term) or compile_term(term))
+    marker = ObservableTerm(0.5, ((TreeCoord((2, 1)), PAULI["Z"]),))
+    obs = Observable((projector_observable(4, "Q").terms[0], marker))
+    for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy, ctx_plus):
+        eval_recursive(ctx, obs)
+    assert built == list(obs.terms)
+
+
+def test_a_term_copies_its_factors_once_and_read_only(ctx_plus):
+    source = E11.copy()
+    obs = Observable.product({s: source for s in ball_vertices(3)})
+    stored = {id(m) for _, m in obs.terms[0].factors}
+    assert len(stored) == 1 and id(source) not in stored  # one copy, shared by every site
+    value = eval_recursive(ctx_plus, obs)
+    source[1, 1] = 1.0  # the caller's array changes; the term does not
+    assert eval_recursive(ctx_plus, obs) == value
+    assert eval_recursive(ctx_plus, Observable.product({s: source for s in ball_vertices(3)})) != value
+    (_, factor), *_ = obs.terms[0].factors
+    with pytest.raises(ValueError):
+        factor[0, 0] = 2.0
 
 
 def test_recursive_normalization(ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
