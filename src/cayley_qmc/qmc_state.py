@@ -69,6 +69,8 @@ class ObservableTerm:
     share one), so writing to the caller's array afterwards changes nothing
     and writing to a stored factor raises ValueError.  That is what lets the
     term carry its contraction plan (`_plan`, built on first evaluation).
+    Two terms are equal when their coefficients are and, in order, their sites
+    and their factors' bytes.
     """
 
     coeff: complex
@@ -91,16 +93,16 @@ class ObservableTerm:
         object.__setattr__(self, "coeff", complex(self.coeff))
         object.__setattr__(self, "factors", tuple(factors))
 
-    @classmethod
-    def _of_frozen(cls, coeff: complex, factors: Iterable[tuple[TreeCoord, np.ndarray]]) -> "ObservableTerm":
-        """A term on distinct sites from factors no caller can write: nothing is copied.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ObservableTerm):
+            return NotImplemented
+        return self._key() == other._key()
 
-        The factors are another term's, or products made by the caller and frozen.
-        """
-        term = object.__new__(cls)
-        object.__setattr__(term, "coeff", complex(coeff))
-        object.__setattr__(term, "factors", tuple(factors))
-        return term
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.coeff, tuple((s, m.tobytes()) for s, m in self.factors)
 
     @property
     def factor_map(self) -> dict[TreeCoord, np.ndarray]:
@@ -207,7 +209,7 @@ def _factor_from_json(f) -> tuple[TreeCoord, np.ndarray]:
 def relocate_observable(f: Observable, g: TreeCoord) -> Observable:
     """Relocate every factor site x to g o x."""
     return Observable(
-        tuple(ObservableTerm._of_frozen(t.coeff, ((concat(g, s), m) for s, m in t.factors)) for t in f.terms)
+        tuple(ObservableTerm(t.coeff, tuple((concat(g, s), m) for s, m in t.factors)) for t in f.terms)
     )
 
 
@@ -218,13 +220,8 @@ def multiply_observables(a: Observable, b: Observable) -> Observable:
         for tb in b.terms:
             merged = ta.factor_map
             for site, m in tb.factors:
-                if site in merged:
-                    product = merged[site] @ m
-                    product.setflags(write=False)
-                    merged[site] = product
-                else:
-                    merged[site] = m
-            terms.append(ObservableTerm._of_frozen(ta.coeff * tb.coeff, merged.items()))
+                merged[site] = merged[site] @ m if site in merged else m
+            terms.append(ObservableTerm(ta.coeff * tb.coeff, tuple(merged.items())))
     return Observable(tuple(terms))
 
 
@@ -452,7 +449,10 @@ def _compile(term: ObservableTerm) -> _Plan:
     ball projector, are contracted once.  A leaf needs no other subtree, so
     the leaves of all levels are contracted together, first.
     """
-    if len(term.factors) <= 1:  # one site, or none: its leaf, then one chain up to the root
+    # One site, or none: its leaf, then one chain up to the root.  The walk
+    # below builds the same plan; fresh one-site markers are frequent enough
+    # (each solved point checks several) that skipping the walk pays.
+    if len(term.factors) <= 1:
         site, mat = term.factors[0] if term.factors else (ROOT, PAULI["I"])
         if site.level == 0:
             return _Plan(2, mat.reshape(1, 4), (), -1)

@@ -16,7 +16,6 @@ from .errors import DomainError
 
 
 _DIGITS = {1: 1, 2: 2}
-_BINARY = bytes.maketrans(b"\x01\x02", b"01")  # digit bytes 1, 2 -> ASCII "0", "1"
 
 
 @dataclass(frozen=True, init=False)
@@ -40,7 +39,10 @@ class TreeCoord:
     @property
     def index(self) -> int:
         """The vertex's position within its level: its digits minus one, read in binary."""
-        return int(bytes(self.digits).translate(_BINARY) or b"0", 2)
+        index = 0
+        for d in self.digits:
+            index = 2 * index + d - 1
+        return index
 
     def __repr__(self) -> str:
         return f"TreeCoord({list(self.digits)})"

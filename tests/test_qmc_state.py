@@ -342,6 +342,17 @@ def test_a_term_copies_its_factors_once_and_read_only(ctx_plus):
         factor[0, 0] = 2.0
 
 
+def test_separately_built_observables_compare_by_value():
+    site = TreeCoord((1,))
+    z = Observable.single(site, PAULI["Z"])
+    same = Observable.single(site, np.diag([1, -1]))  # stored as the same complex bytes
+    assert z == same and hash(z) == hash(same)
+    assert multiply_observables(Observable.identity(), z) == z == relocate_observable(z, ROOT)
+    assert z != Observable.single(site, PAULI["X"])
+    assert z != Observable.single(TreeCoord((2,)), PAULI["Z"])
+    assert z != Observable.single(site, PAULI["Z"], coeff=2.0)
+
+
 def test_recursive_normalization(ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
         assert eval_recursive(ctx, Observable.identity()) == pytest.approx(1.0, abs=1e-12)
