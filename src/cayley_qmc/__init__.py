@@ -14,9 +14,8 @@ from .boundary import (
     delta_theta,
     ordered_xi,
     phase_region,
-    solve_disordered,
+    solve_branch,
     solve_ordered,
-    solve_xy_only,
     xy_alpha_report,
 )
 from .errors import (
@@ -88,9 +87,8 @@ __all__ = [
     "ordered_xi",
     "pauli",
     "phase_region",
-    "solve_disordered",
+    "solve_branch",
     "solve_ordered",
-    "solve_xy_only",
     "successors",
     "transfer_coeffs",
     "transfer_coeffs_numeric",

@@ -19,9 +19,8 @@ from .boundary import (
     BoundarySolution,
     dd_threshold,
     delta_theta,
-    solve_disordered,
+    solve_branch,
     solve_ordered,
-    solve_xy_only,
     xy_alpha_report,
 )
 from .errors import DomainError
@@ -127,7 +126,7 @@ def criterion_fixed_points() -> CriterionResult:
     worst_res, worst_eq1, dichotomy = 0.0, 0.0, True
     for p in positive + negative:
         delta = delta_theta(p)
-        res, eq1 = _solution_checks(solve_disordered(p))
+        res, eq1 = _solution_checks(solve_branch(p, Branch.DISORDERED))
         worst_res, worst_eq1 = max(worst_res, res), max(worst_eq1, eq1)
         pair = solve_ordered(p)
         dichotomy &= (pair is not None) == (delta > 0)
@@ -333,7 +332,7 @@ def criterion_xy_only() -> CriterionResult:
     for j in (0.5, 1.0, 2.0):
         for beta in (0.5, 1.0):
             p = ModelParams(0.0, j, beta)
-            sol = solve_xy_only(p)
+            sol = solve_branch(p, Branch.XY_ONLY)
             worst_res = max(worst_res, sol.residual)
             c_closed, c_num = transfer_coeffs(p), transfer_coeffs_numeric(p)
             # C3 = 0 forces Tr(sz h) = 0, so the uniform solution is the only

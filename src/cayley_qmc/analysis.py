@@ -24,6 +24,8 @@ from .tree import TreeCoord, ball_vertices
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E22 = np.array([[0, 0], [0, 1]], dtype=complex)
+# depth down the (1,1,...) spine where the lam-transient of a single-site value is below double precision
+LIMIT_DEPTH = 24
 
 
 def lam(p: ModelParams) -> float:
@@ -268,7 +270,7 @@ class ClusteringLimitReport:
     displayed_dev: float
 
 
-def clustering_limit_report(ctx: EvalContext, f: np.ndarray, limit_depth: int = 24) -> ClusteringLimitReport:
+def clustering_limit_report(ctx: EvalContext, f: np.ndarray) -> ClusteringLimitReport:
     p = ctx.params
     branch = ctx.solution.branch
     c = transfer_coeffs(p)
@@ -289,7 +291,7 @@ def clustering_limit_report(ctx: EvalContext, f: np.ndarray, limit_depth: int = 
     )
     displayed = c.c3 * combo
     numeric = eval_recursive(
-        ctx, relocate_observable(Observable.product({TreeCoord(()): f}), TreeCoord((1,) * limit_depth))
+        ctx, relocate_observable(Observable.product({TreeCoord(()): f}), TreeCoord((1,) * LIMIT_DEPTH))
     ).real
     return ClusteringLimitReport(
         numeric=numeric,
@@ -300,20 +302,13 @@ def clustering_limit_report(ctx: EvalContext, f: np.ndarray, limit_depth: int = 
     )
 
 
-def clustering_deviations(
-    ctx: EvalContext,
-    a: Observable,
-    f: Observable,
-    levels: list[int],
-    limit_depth: int = 24,
-) -> list[dict]:
+def clustering_deviations(ctx: EvalContext, a: Observable, f: Observable, levels: list[int]) -> list[dict]:
     """|phi(a tau_g f) - phi(a) phi(f)| with f pushed down the (1,1,...) spine.
 
-    phi(f) is the asymptotic single-site value, read off at limit_depth where
-    the lam-transient is below double precision.
+    phi(f) is the asymptotic single-site value, read off at LIMIT_DEPTH.
     """
     phi_a = eval_recursive(ctx, a)
-    phi_f = eval_recursive(ctx, relocate_observable(f, TreeCoord((1,) * limit_depth)))
+    phi_f = eval_recursive(ctx, relocate_observable(f, TreeCoord((1,) * LIMIT_DEPTH)))
     rows = []
     previous = None
     for level in levels:

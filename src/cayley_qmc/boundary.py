@@ -4,11 +4,11 @@ Solves the fixed-point system for the per-site boundary matrix h and the root
 weight omega0, classifies the parameter region through the discriminant
 Delta(theta), and covers the pure-XY special case j0 = 0.
 
-Each branch's solution is built and checked (fixed-point residual and
-normalization) once per process and parameter set, then shared: every
-solve_* call for that (params, branch) returns the same BoundarySolution, so
-its h and omega0 are read-only.  Refusals are not cached; each call raises
-them again.
+solve_branch is the one solver: it builds and checks (fixed-point residual
+and normalization) each branch's solution once per process and parameter
+set, then shares it, so every call for that (params, branch), solve_ordered's
+included, returns the same BoundarySolution and its h and omega0 are
+read-only.  Refusals are not cached; each call raises them again.
 """
 
 from __future__ import annotations
@@ -95,19 +95,30 @@ class XYAlphaReport:
     matches: bool
 
 
-def _denominator(p: ModelParams) -> float:
-    # theta^{2J0} - theta^{J0}(theta^J + theta^{-J}) + 1, with theta = e^{2 beta};
-    # cosh keeps the expression exactly even in J.
-    b = p.beta
-    return math.exp(4 * p.j0 * b) - math.exp(2 * p.j0 * b) * 2 * math.cosh(2 * p.j * b) + 1
+def _denominator(e4, e2, cosh):
+    # theta^{2J0} - theta^{J0}(theta^J + theta^{-J}) + 1, with theta = e^{2 beta}, from
+    # e4 = e^{4 J0 beta}, e2 = e^{2 J0 beta} and cosh = cosh(2 J beta): floats at a point,
+    # arrays on the grid.  cosh keeps the expression exactly even in J.
+    return e4 - e2 * 2 * cosh + 1
+
+
+def _expects_transition(j, j0, threshold):
+    """The closed-form region rule: a phase transition where |J| > J0 or J0 > dd_threshold."""
+    return (j * j > j0 * j0) | (j0 > threshold)
+
+
+def _region_mismatch(p: ModelParams, delta: float, transition: bool) -> ModelInconsistencyError:
+    want = Classification.PHASE_TRANSITION if transition else Classification.UNIQUE
+    return ModelInconsistencyError(f"region check failed at {p}: delta={delta!r} vs closed-form {want.value}")
 
 
 def delta_theta(p: ModelParams) -> float:
     """The discriminant Delta(theta) whose sign separates the phase regions."""
     if p.j == p.j0 or p.j == -p.j0:
         raise SingularParameterError(f"J = +-J0 is excluded (j={p.j}, j0={p.j0})")
-    den = _denominator(p)
-    if abs(den) < SINGULAR_TOL * max(1.0, math.exp(4 * p.j0 * p.beta)):
+    e4 = math.exp(4 * p.j0 * p.beta)
+    den = _denominator(e4, math.exp(2 * p.j0 * p.beta), math.cosh(2 * p.j * p.beta))
+    if abs(den) < SINGULAR_TOL * max(1.0, e4):
         raise SingularParameterError(f"singular parameters: denominator {den:.3e} vanishes near J = +-J0")
     return (den - 4) / den
 
@@ -127,18 +138,12 @@ def phase_region(p: ModelParams) -> PhaseRegion:
     delta = delta_theta(p)
     if abs(delta) <= BOUNDARY_TOL:
         return PhaseRegion(delta, Classification.BOUNDARY)
-    cls = Classification.PHASE_TRANSITION if delta > 0 else Classification.UNIQUE
+    transition = delta > 0
     if abs(delta) > REGION_GUARD:
-        if p.j * p.j > p.j0 * p.j0:
-            expected = Classification.PHASE_TRANSITION
-        else:
-            above = p.j0 > dd_threshold(p.j, p.beta)
-            expected = Classification.PHASE_TRANSITION if above else Classification.UNIQUE
-        if expected is not cls:
-            raise ModelInconsistencyError(
-                f"region check failed at {p}: delta={delta!r} vs closed-form {expected.value}"
-            )
-    return PhaseRegion(delta, cls)
+        expected = _expects_transition(p.j, p.j0, dd_threshold(p.j, p.beta))
+        if expected != transition:
+            raise _region_mismatch(p, delta, expected)
+    return PhaseRegion(delta, Classification.PHASE_TRANSITION if transition else Classification.UNIQUE)
 
 
 def _per_line(f: Callable[[float], float], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +172,8 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
     cosh(2 J beta) and dd_threshold per J line, come from `math` (libm), as
     in the pointwise formulas: np.exp and np.cosh differ from libm in the
     last bit on some inputs.  den, Delta = (den - 4)/den, the masks and the
-    cross-check are whole-grid float64 arithmetic in _denominator's and
+    cross-check are whole-grid float64 arithmetic through the same
+    _denominator and _expects_transition as the pointwise functions, in
     delta_theta's operation order, which rounds as Python floats do.
     """
     threshold, threshold_overflow = _per_line(lambda j: dd_threshold(j, beta), js)
@@ -177,12 +183,12 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
     j, j0 = js[:, None], j0s[None, :]
     excluded = (j == j0) | (j == -j0)
     with np.errstate(all="ignore"):  # overflow gives inf and inf/inf nan, as with Python floats
-        den = e4 - e2 * 2 * cosh[:, None] + 1
+        den = _denominator(e4, e2, cosh[:, None])
         delta = (den - 4) / den
         singular = excluded | (np.abs(den) < SINGULAR_TOL * np.maximum(1.0, e4))
         delta[singular] = math.nan
         transition = delta > 0
-        expected = (j * j > j0 * j0) | (j0 > threshold[:, None])
+        expected = _expects_transition(j, j0, threshold[:, None])
         mismatch = (np.abs(delta) > REGION_GUARD) & (expected != transition)
     # delta_theta never forms e^{4 J0 beta} at an excluded point
     overflow = threshold_overflow[:, None] | (e4_overflow & ~excluded)
@@ -191,11 +197,7 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
         a, b = divmod(int(failed[0]), len(j0s))
         if overflow[a, b]:
             raise OverflowError("math range error")  # as math.exp and math.cosh word it
-        p = ModelParams(float(j0s[b]), float(js[a]), beta)
-        want = Classification.PHASE_TRANSITION if expected[a, b] else Classification.UNIQUE
-        raise ModelInconsistencyError(
-            f"region check failed at {p}: delta={float(delta[a, b])!r} vs closed-form {want.value}"
-        )
+        raise _region_mismatch(ModelParams(float(j0s[b]), float(js[a]), beta), float(delta[a, b]), expected[a, b])
     names = np.where(transition, Classification.PHASE_TRANSITION.value, Classification.UNIQUE.value)
     names[np.abs(delta) <= BOUNDARY_TOL] = Classification.BOUNDARY.value
     names[singular] = "Singular"
@@ -225,17 +227,12 @@ def _solution(p: ModelParams, branch: Branch, h: np.ndarray, omega0: np.ndarray,
     return BoundarySolution(branch=branch, h=h, omega0=omega0, residual=residual, **fields)
 
 
-def solve_disordered(p: ModelParams) -> BoundarySolution:
-    """The uniform solution h = (1/C1) * 1, omega0 = C1 * 1."""
-    return _checked_solution(p, Branch.DISORDERED)
-
-
 def ordered_xi(p: ModelParams) -> tuple[float, float]:
     """The ordered constants xi0 = 1/C3 and xi3 = sqrt(Delta)/C3, by arithmetic alone.
 
     Refuses Delta <= 0 (no ordered phase) and C3 <= 0 (j0 <= 0) with a
     DomainError, and an indefinite pair (xi3 > xi0, the |J| > J0 regime) with
-    SolutionNotPositiveError.  Builds no operator; solve_ordered checks the
+    SolutionNotPositiveError.  Builds no operator; solve_branch checks the
     resulting states numerically.
     """
     delta = delta_theta(p)
@@ -265,25 +262,24 @@ def ordered_sign(branch: Branch) -> float:
     DomainError.
     """
     if branch not in _ORDERED_SIGN:
-        raise DomainError(f"needs an ordered branch (plus or minus), got {branch.value}")
+        raise DomainError(f"needs an ordered branch (plus or minus), got {branch!r}")
     return _ORDERED_SIGN[branch]
 
 
-def _ordered_solution(p: ModelParams, branch: Branch) -> BoundarySolution:
-    """h = xi0*1 + ordered_sign(branch)*xi3*sz, omega0 = (1/xi0)*1, checked."""
-    xi0, xi3 = ordered_xi(p)
-    eye, sz = np.eye(2, dtype=complex), PAULI["Z"]
-    h = xi0 * eye + ordered_sign(branch) * xi3 * sz
-    return _solution(p, branch, h, (1 / xi0) * eye, xi0=xi0, xi3=xi3)
-
-
-# typed: a str equal to a branch's value keeps its own entry, so it is refused as without the memo
+# typed: a str equal to a branch's value is a key of its own, so it reaches the refusal
+# below instead of the Branch's cached solution
 @functools.lru_cache(maxsize=256, typed=True)
-def _checked_solution(p: ModelParams, branch: Branch) -> BoundarySolution:
+def solve_branch(p: ModelParams, branch: Branch) -> BoundarySolution:
     """The branch's solution, built and checked on the first call per (frozen) parameter set.
 
-    Every solver goes through here; a refusal raises and is not cached.
+    disordered: h = (1/C1)*1.  xy: h = alpha*1 from the numeric Phi(1) oracle,
+    j0 = 0 only.  plus and minus: h = xi0*1 + ordered_sign(branch)*xi3*sz with
+    omega0 = (1/xi0)*1, refused where ordered_xi refuses.  A branch that is not
+    a Branch is a DomainError.  A refusal raises and is not cached.
     """
+    if not isinstance(branch, Branch):
+        raise DomainError(f"branch must be a Branch, got {branch!r}")
+    eye = np.eye(2, dtype=complex)
     if branch is Branch.DISORDERED:
         alpha = 1 / transfer_coeffs(p).c1
     elif branch is Branch.XY_ONLY:
@@ -291,8 +287,9 @@ def _checked_solution(p: ModelParams, branch: Branch) -> BoundarySolution:
             raise DomainError(f"XY-only branch requires j0 = 0, got {p.j0}")
         alpha = 1 / transfer_coeffs_numeric(p).c1
     else:
-        return _ordered_solution(p, branch)
-    eye = np.eye(2, dtype=complex)
+        xi0, xi3 = ordered_xi(p)
+        h = xi0 * eye + ordered_sign(branch) * xi3 * PAULI["Z"]
+        return _solution(p, branch, h, (1 / xi0) * eye, xi0=xi0, xi3=xi3)
     return _solution(p, branch, alpha * eye, (1 / alpha) * eye, alpha=alpha)
 
 
@@ -300,12 +297,7 @@ def solve_ordered(p: ModelParams) -> tuple[BoundarySolution, BoundarySolution] |
     """The pair (h, h') = xi0*1 +- xi3*sz, present exactly when Delta > 0."""
     if delta_theta(p) <= 0:
         return None
-    return _checked_solution(p, Branch.ORDERED_PLUS), _checked_solution(p, Branch.ORDERED_MINUS)
-
-
-def solve_xy_only(p: ModelParams) -> BoundarySolution:
-    """The unique diagonal solution at j0 = 0, from the numeric Phi(1) oracle."""
-    return _checked_solution(p, Branch.XY_ONLY)
+    return solve_branch(p, Branch.ORDERED_PLUS), solve_branch(p, Branch.ORDERED_MINUS)
 
 
 def xy_alpha_report(p: ModelParams) -> XYAlphaReport:
@@ -320,15 +312,3 @@ def xy_alpha_report(p: ModelParams) -> XYAlphaReport:
         abs_gap=gap,
         matches=gap <= 1e-10 * max(1.0, abs(oracle)),
     )
-
-
-def solve_branch(p: ModelParams, branch: Branch) -> BoundarySolution:
-    """The solution on one branch, with the refusals of the solver that owns it.
-
-    An ordered branch is the very object its half of solve_ordered returns,
-    built and checked alone on first use.
-    """
-    if branch in _ORDERED_SIGN and delta_theta(p) <= 0:
-        raise DomainError(f"no ordered solutions: Delta(theta) <= 0 at {p}")
-    return _checked_solution(p, branch)
-

@@ -26,9 +26,8 @@ from .boundary import (
     SolutionNotPositiveError,
     delta_theta,
     phase_region,
-    solve_disordered,
+    solve_branch,
     solve_ordered,
-    solve_xy_only,
     xy_alpha_report,
 )
 from .errors import DomainError, ResourceLimitError
@@ -199,7 +198,7 @@ def _cmd_solve(args) -> str:
             delta = delta_theta(params)
         except SingularParameterError:
             delta = None
-        sol = solve_xy_only(params)
+        sol = solve_branch(params, Branch.XY_ONLY)
         rep = xy_alpha_report(params)
         return render_json(
             {
@@ -215,7 +214,7 @@ def _cmd_solve(args) -> str:
             }
         ) + "\n"
     region = phase_region(params)
-    branches = [_branch_doc(solve_disordered(params))]
+    branches = [_branch_doc(solve_branch(params, Branch.DISORDERED))]
     note = None
     try:
         pair = solve_ordered(params)

@@ -51,10 +51,6 @@ class ModelParams:
         if not self.beta > 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
 
-    @property
-    def theta(self) -> float:
-        return math.exp(2 * self.beta)
-
 
 @dataclass(frozen=True)
 class OperatorCoeffs:

@@ -108,10 +108,6 @@ class ObservableTerm:
     def factor_map(self) -> dict[TreeCoord, np.ndarray]:
         return dict(self.factors)
 
-    @property
-    def depth(self) -> int:
-        return max((s.level for s, _ in self.factors), default=0)
-
     @cached_property
     def _plan(self) -> "_Plan":
         """The term's contraction plan, which depends on no context: built once, replayed per context."""
@@ -140,10 +136,6 @@ class Observable:
     def support(self) -> frozenset[TreeCoord]:
         return frozenset(s for t in self.terms for s, _ in t.factors)
 
-    @property
-    def depth(self) -> int:
-        return max((t.depth for t in self.terms), default=0)
-
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Observable":
         """Parse the observable file format; any other shape is a DomainError."""
@@ -168,14 +160,12 @@ def complex_from_pair(pair, what: str) -> complex:
 
 
 def matrix_from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    """A square matrix from its entries as a row-major list of [re, im] pairs."""
+    """A 2x2 matrix from its four entries as a row-major list of [re, im] pairs."""
     if not isinstance(pairs, (list, tuple)):
         raise DomainError(f"a matrix must be a list of [re, im] pairs, got {pairs!r}")
-    flat = np.array([complex_from_pair(p, "a matrix entry") for p in pairs], dtype=complex)
-    dim = int(round(np.sqrt(flat.size)))
-    if dim * dim != flat.size:
-        raise DomainError(f"pair list of length {flat.size} is not a square matrix")
-    return flat.reshape(dim, dim)
+    if len(pairs) != 4:
+        raise DomainError(f"a 2x2 matrix needs four [re, im] pairs, got {len(pairs)}")
+    return np.array([complex_from_pair(p, "a matrix entry") for p in pairs], dtype=complex).reshape(2, 2)
 
 
 def _term_from_json(raw) -> ObservableTerm:
@@ -199,8 +189,6 @@ def _factor_from_json(f) -> tuple[TreeCoord, np.ndarray]:
         mat = pauli(f["pauli"])
     elif "matrix" in f:
         mat = matrix_from_pairs(f["matrix"])
-        if mat.shape != (2, 2):
-            raise DomainError("observable factors must be 2x2 matrices")
     else:
         raise DomainError("factor needs either 'pauli' or 'matrix'")
     return TreeCoord(tuple(site)), mat

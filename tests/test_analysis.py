@@ -65,7 +65,8 @@ def test_series_closed_form_matches_iteration(p, branch):
 
 
 REFUSAL_POINT = ModelParams(1.0, 0.3, 1.2)
-NOT_ORDERED = (Branch.DISORDERED, Branch.XY_ONLY)
+# a str value used to fail with AttributeError on .value instead of the refusal
+NOT_ORDERED = (Branch.DISORDERED, Branch.XY_ONLY, *(pytest.param(v, id=f"str-{v}") for v in ("disordered", "xy")))
 
 
 @pytest.mark.parametrize("branch", NOT_ORDERED)

@@ -6,7 +6,6 @@ import pytest
 from cayley_qmc.boundary import (
     Branch,
     Classification,
-    _checked_solution,
     _solution,
     dd_threshold,
     delta_theta,
@@ -14,9 +13,7 @@ from cayley_qmc.boundary import (
     ordered_sign,
     phase_region,
     solve_branch,
-    solve_disordered,
     solve_ordered,
-    solve_xy_only,
     xy_alpha_report,
 )
 from cayley_qmc.errors import DomainError, ModelInconsistencyError, SingularParameterError, SolutionNotPositiveError
@@ -88,13 +85,13 @@ def test_threshold_matches_delta_sign_on_a_grid():
 
 
 def test_solve_disordered_trivial():
-    sol = solve_disordered(ModelParams(0.0, 0.0, 1.0))
+    sol = solve_branch(ModelParams(0.0, 0.0, 1.0), Branch.DISORDERED)
     assert np.allclose(sol.h, np.eye(2))
     assert np.allclose(sol.omega0, np.eye(2))
 
 
 def test_solve_disordered_fixed_point():
-    sol = solve_disordered(ModelParams(1.0, 0.5, 0.5))
+    sol = solve_branch(ModelParams(1.0, 0.5, 0.5), Branch.DISORDERED)
     assert sol.residual < 1e-10
     assert abs(normalized_trace(sol.omega0 @ sol.h) - 1) <= 1e-15
     assert sol.alpha == pytest.approx(1 / transfer_coeffs(ModelParams(1.0, 0.5, 0.5)).c1, rel=1e-14)
@@ -118,7 +115,8 @@ def test_every_solution_is_diagonal_and_the_ordered_pair_differs_in_the_sign_of_
             ordered_sign(branch)
     p = ModelParams(1.0, 0.3, 1.2)
     plus, minus = solve_ordered(p)
-    for sol in (plus, minus, solve_disordered(p), solve_xy_only(ModelParams(0.0, 0.3, 1.2))):
+    xy = solve_branch(ModelParams(0.0, 0.3, 1.2), Branch.XY_ONLY)
+    for sol in (plus, minus, solve_branch(p, Branch.DISORDERED), xy):
         for m in (sol.h, sol.omega0):
             assert np.array_equal(m, np.diag(np.diagonal(m)))
     assert np.array_equal(minus.h, plus.h[::-1, ::-1]) and np.array_equal(minus.omega0, plus.omega0)
@@ -169,7 +167,7 @@ def test_solve_branch_refuses_as_solve_ordered(j0, j, beta, error):
         with pytest.raises(error) as got:
             solve_branch(p, branch)
         if want is None:
-            assert str(got.value).startswith("no ordered solutions")
+            assert str(got.value).startswith("no ordered phase")
         else:
             assert str(got.value) == want
 
@@ -191,13 +189,13 @@ def test_residual_detects_non_solutions():
 
 
 def test_solve_xy_only():
-    sol = solve_xy_only(ModelParams(0.0, 0.0, 1.0))
+    sol = solve_branch(ModelParams(0.0, 0.0, 1.0), Branch.XY_ONLY)
     assert np.allclose(sol.h, np.eye(2))
-    sol = solve_xy_only(ModelParams(0.0, 1.0, 0.7))
+    sol = solve_branch(ModelParams(0.0, 1.0, 0.7), Branch.XY_ONLY)
     assert sol.residual < 1e-10
     assert sol.alpha == pytest.approx(1 / math.cosh(0.7) ** 2, rel=1e-12)
     with pytest.raises(DomainError):
-        solve_xy_only(ModelParams(0.5, 1.0, 0.7))
+        solve_branch(ModelParams(0.5, 1.0, 0.7), Branch.XY_ONLY)
 
 
 def test_xy_alpha_report_flags_the_displayed_value():
@@ -214,7 +212,7 @@ def test_fixed_point_check_is_relative_for_small_h():
     eye = np.eye(2, dtype=complex)
     with pytest.raises(ModelInconsistencyError):
         _solution(p, Branch.DISORDERED, 1e-100 * eye, 1e100 * eye)
-    sol = solve_disordered(p)
+    sol = solve_branch(p, Branch.DISORDERED)
     assert 0 < sol.residual <= 1e-10 * np.linalg.norm(sol.h)
 
 
@@ -222,10 +220,10 @@ def test_each_solution_is_built_once_shared_and_read_only():
     ordered, xy = ModelParams(1.0, 0.3, 1.2), ModelParams(0.0, 1.0, 0.7)
     plus, minus = solve_ordered(ordered)
     for p, branch, sol in (
-        (ordered, Branch.DISORDERED, solve_disordered(ordered)),
+        (ordered, Branch.DISORDERED, solve_branch(ordered, Branch.DISORDERED)),
         (ordered, Branch.ORDERED_PLUS, plus),
         (ordered, Branch.ORDERED_MINUS, minus),
-        (xy, Branch.XY_ONLY, solve_xy_only(xy)),
+        (xy, Branch.XY_ONLY, solve_branch(xy, Branch.XY_ONLY)),
     ):
         assert solve_branch(p, branch) is sol
         assert solve_branch(ModelParams(p.j0, p.j, p.beta), branch) is sol  # an equal key, not the same object
@@ -268,6 +266,22 @@ def test_signed_zeros_share_one_solution_with_the_same_bits(zero, negative_zero,
     assert vertex_operator.__wrapped__(zero).tobytes() == vertex_operator.__wrapped__(negative_zero).tobytes()
     for branch in branches:
         assert solve_branch(zero, branch) is solve_branch(negative_zero, branch)
-        a, b = (_checked_solution.__wrapped__(p, branch) for p in (zero, negative_zero))
+        a, b = (solve_branch.__wrapped__(p, branch) for p in (zero, negative_zero))
         assert (a.h.tobytes(), a.omega0.tobytes()) == (b.h.tobytes(), b.omega0.tobytes())
         assert repr((a.residual, a.xi0, a.xi3, a.alpha)) == repr((b.residual, b.xi0, b.xi3, b.alpha))
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus", "disordered", "xy", "bogus", None])
+def test_solve_branch_refuses_a_branch_that_is_not_a_branch(branch):
+    # a str equal to a Branch's value used to come back with a str .branch, or fail on .value
+    p = ModelParams(1.0, 0.3, 1.2)
+    solve_ordered(p)  # the Branch entries are cached: the str must not hit them
+    for _ in range(2):
+        with pytest.raises(DomainError, match="branch must be a Branch"):
+            solve_branch(p, branch)
+
+
+def test_ordered_sign_names_a_value_that_is_not_a_branch():
+    for branch in ("disordered", "xy", 3):
+        with pytest.raises(DomainError, match=f"ordered branch .*got {branch!r}"):
+            ordered_sign(branch)

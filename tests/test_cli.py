@@ -300,6 +300,8 @@ MALFORMED = {
     "site-number": _one_term(site=5),
     "matrix-flat": json.dumps({"terms": [{"factors": [{"site": [1], "matrix": [1, 2, 3, 4]}]}]}),
     "matrix-short-pair": json.dumps({"terms": [{"factors": [{"site": [1], "matrix": [[1, 0], [0]]}]}]}),
+    "matrix-1x1": json.dumps({"terms": [{"factors": [{"site": [1], "matrix": [[1, 0]]}]}]}),
+    "matrix-3x3": json.dumps({"terms": [{"factors": [{"site": [1], "matrix": [[1, 0]] * 9}]}]}),
     "site-fraction": _one_term(site=[1.5]),
     "site-fraction-above": _one_term(site=[2.9]),
     "site-string": _one_term(site="12"),

@@ -43,7 +43,6 @@ def test_pauli_matrices():
 def test_params_validation():
     with pytest.raises(DomainError):
         ModelParams(1.0, 0.0, 0.0)
-    assert ModelParams(1.0, 0.0, 0.5).theta == pytest.approx(math.e)
 
 
 def test_coeff_identities():

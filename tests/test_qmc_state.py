@@ -615,3 +615,26 @@ def test_deep_markers_match_closed_form(p, branch, n, seed):
     site = TreeCoord(tuple(int(d) for d in np.random.default_rng(seed).integers(1, 3, size=n)))
     got = eval_recursive(ctx, Observable.single(site, E11))
     assert abs(got - marker_expectation_closed(p, n, branch)) < 1e-10
+
+
+def test_a_memo_hit_on_an_ordered_branch_computes_no_delta(monkeypatch):
+    p = ModelParams(1.0, 0.3, 1.25)
+    first = EvalContext.create(p, Branch.ORDERED_MINUS)
+
+    def no_delta(params):
+        raise AssertionError("Delta computed on a memo hit")
+
+    monkeypatch.setattr("cayley_qmc.boundary.delta_theta", no_delta)
+    assert EvalContext.create(p, Branch.ORDERED_MINUS).solution is first.solution
+
+
+@pytest.mark.parametrize("branch", ["plus", "disordered", "xy"])
+def test_context_refuses_a_branch_that_is_not_a_branch(branch):
+    with pytest.raises(DomainError, match="branch must be a Branch"):
+        EvalContext.create(ModelParams(1.0, 0.3, 1.2), branch)
+
+
+@pytest.mark.parametrize("pairs", [[[1, 0]], [[1, 0]] * 3, [[1, 0]] * 9, [[1, 0]] * 16, []])
+def test_matrix_from_pairs_reads_exactly_four_pairs(pairs):
+    with pytest.raises(DomainError, match="four"):
+        matrix_from_pairs(pairs)
