@@ -258,10 +258,11 @@ _ORDERED_SIGN = {Branch.ORDERED_PLUS: 1.0, Branch.ORDERED_MINUS: -1.0}
 def ordered_sign(branch: Branch) -> float:
     """The sign of xi3 in h = xi0*1 + sign*xi3*sz: +1.0 on plus, -1.0 on minus.
 
-    The one place where the two ordered branches differ; any other branch is a
+    The one place where the two ordered branches differ; any other branch, and
+    any value that is not a Branch (a str equal to "plus" included), is a
     DomainError.
     """
-    if branch not in _ORDERED_SIGN:
+    if not isinstance(branch, Branch) or branch not in _ORDERED_SIGN:
         raise DomainError(f"needs an ordered branch (plus or minus), got {branch!r}")
     return _ORDERED_SIGN[branch]
 

@@ -380,7 +380,7 @@ class _Step(NamedTuple):
 
 class _Plan(NamedTuple):
     size: int  # rows of the value table: h, the steps' subtrees in order, then the leaves
-    leaves: np.ndarray | None  # the leaves' factors, one flattened row each, last leaf first
+    leaves: np.ndarray  # the leaves' factors, one flattened row each, last leaf first (a term has one at least)
     steps: tuple[_Step, ...]
     root: int
 
@@ -403,8 +403,7 @@ def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
     plan = term._plan
     values = np.empty((plan.size, 4), dtype=complex)
     values[_UNTOUCHED] = ctx.h.reshape(4)
-    if plan.leaves is not None:
-        values[-len(plan.leaves) :] = np.einsum("oa,na->no", t_h, plan.leaves)
+    values[-len(plan.leaves) :] = np.einsum("oa,na->no", t_h, plan.leaves)
     n = 1
     for tops, inner, children in plan.steps:
         for bottom, k in tops:
@@ -442,9 +441,10 @@ def _compile(term: ObservableTerm) -> _Plan:
     # (each solved point checks several) that skipping the walk pays.
     if len(term.factors) <= 1:
         site, mat = term.factors[0] if term.factors else (ROOT, PAULI["I"])
+        leaf = _finite(mat.reshape(1, 4))
         if site.level == 0:
-            return _Plan(2, mat.reshape(1, 4), (), -1)
-        return _Plan(3, mat.reshape(1, 4), (_Step(((-1, site.level),), None, None),), 1)
+            return _Plan(2, leaf, (), -1)
+        return _Plan(3, leaf, (_Step(((-1, site.level),), None, None),), 1)
     by_level: dict[int, dict[int, bytes]] = {0: {0: _EYE_BYTES}}  # the root is always an event
     raw: dict[int, bytes] = {}  # id of a stored factor -> its bytes, once per distinct array
     for site, mat in term.factors:
@@ -514,12 +514,14 @@ def _compile(term: ObservableTerm) -> _Plan:
     root = top(front[0], lift[0]) if lift else front[0]
     if tops:
         steps.append((tuple(tops), len(inner), len(inner)))
+    # every factor that is not the identity sits in a leaf or an inner row, so one test covers the term
+    table = _finite(_stack(key[0] for key in [*reversed(leaves), *inner]))
+    rows = table[len(leaves) :]
     if inner:
-        rows = _stack(key[0] for key in inner)
         children = np.array([[key[1] for key in inner], [key[2] for key in inner]], dtype=np.intp)
     return _Plan(
         1 + made + len(leaves),
-        _stack(key[0] for key in reversed(leaves)) if leaves else None,
+        table[: len(leaves)],
         tuple(_Step(t, rows[a:b], children[:, a:b]) if b > a else _Step(t, None, None) for t, a, b in steps),
         root,
     )
@@ -528,6 +530,13 @@ def _compile(term: ObservableTerm) -> _Plan:
 def _stack(factors: Iterable[bytes]) -> np.ndarray:
     """Flattened 2x2 factors, one row each, from their bytes."""
     return np.frombuffer(b"".join(factors), dtype=complex).reshape(-1, 4)
+
+
+def _finite(rows: np.ndarray) -> np.ndarray:
+    """A plan's factor rows, refused unless every entry is finite: no kernel may see an inf or a nan."""
+    if not np.isfinite(rows).all():
+        raise DomainError("an observable factor has an entry that is not finite")
+    return rows
 
 
 def reduced_weight(ctx: EvalContext, n: int) -> np.ndarray:

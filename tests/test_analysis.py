@@ -65,8 +65,13 @@ def test_series_closed_form_matches_iteration(p, branch):
 
 
 REFUSAL_POINT = ModelParams(1.0, 0.3, 1.2)
-# a str value used to fail with AttributeError on .value instead of the refusal
-NOT_ORDERED = (Branch.DISORDERED, Branch.XY_ONLY, *(pytest.param(v, id=f"str-{v}") for v in ("disordered", "xy")))
+# a str value used to fail with AttributeError on .value instead of the refusal, and
+# "plus" used to pass as the plus branch, although solve_branch refuses it
+NOT_ORDERED = (
+    Branch.DISORDERED,
+    Branch.XY_ONLY,
+    *(pytest.param(v, id=f"str-{v}") for v in ("disordered", "xy", "plus", "minus")),
+)
 
 
 @pytest.mark.parametrize("branch", NOT_ORDERED)

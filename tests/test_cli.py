@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,24 @@ def test_evaluate_malformed_observable_exits_2(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("domain error:")
+
+
+@pytest.mark.parametrize(
+    ("site", "bad"),
+    [([], "Infinity"), ([1], "Infinity"), ([1, 2, 1], "NaN")],
+    ids=["inf-root", "inf-level-1", "nan-level-3"],
+)
+def test_evaluate_refuses_a_non_finite_factor_without_a_warning(tmp_path, capsys, site, bad):
+    # the bad entry sits where the one-vertex channel multiplies it by zero only
+    path = tmp_path / "obs.json"
+    path.write_text(f'{{"terms": [{{"factors": [{{"site": {site}, "matrix": [[1, 0], [{bad}, 0], [0, 0], [1, 0]]}}]}}]}}')
+    argv = ["evaluate", "--observable", str(path), "--j0", "1", "--j", "0.3", "--beta", "1.2", "--branch", "plus"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("domain error:") and "not finite" in err
+    assert "RuntimeWarning" not in err and not caught
 
 
 def test_negative_exponent_notation_is_a_value(capsys):
