@@ -21,10 +21,14 @@ The recursive route evaluates the same functional as the brute force: an
 observable whose deepest factors sit at level m is contracted from level m
 down, each vertex below which the observable acts on nothing absorbing the
 boundary pair (h, h) of its children; for diagonal factors this coincides
-with sandwiching h^{1/2} directly at level m.  The per-vertex channel is a
-4x4x4x4 tensor built once per context (channel_tensor), with its 4x4 spine
-map: the channel of a factor-free vertex with exactly one child in the
-support (a chain vertex).  Each product term is evaluated in two parts:
+with sandwiching h^{1/2} directly at level m.  The vertex operator A is
+block-diagonal in its vertex's own sz, so the per-vertex channel keeps each
+entry of the vertex's factor where it is: it is the 4x4x4 tensor M of the
+children's inputs per output entry, built once per context
+(channel_tensor), with its leaf vector g (both children h) and its spine
+map S (the channel of a factor-free vertex with exactly one child in the
+support, a chain vertex), which acts on the two diagonal entries alone.
+Each product term is evaluated in two parts:
 
 * a plan, which depends only on the term and is built on its first
   evaluation and kept on the (immutable) term: it visits only the levels
@@ -33,9 +37,10 @@ support (a chain vertex).  Each product term is evaluated in two parts:
   interns equal subtrees (e.g. a ball projector's), so a level-uniform
   observable costs O(depth) and a product with nothing shared costs one row
   per active vertex;
-* a replay per context, which does only the numeric work: one einsum for
-  all leaves, k matvecs per chain, one einsum per level for the inner
-  vertices, and the trace against omega0 at the root.
+* a replay per context, which does only the numeric work: one product for
+  all leaves, k scalar 2x2 steps per chain, one einsum per level for the
+  inner vertices, and the scalar trace against the diagonal omega0 at the
+  root.
 
 Evaluating one observable on several states, as the phase-transition
 witnesses do, therefore repeats only the replay.
@@ -52,7 +57,7 @@ import numpy as np
 
 from .boundary import Branch, BoundarySolution, solve_branch
 from .errors import DomainError, ResourceLimitError
-from .linalg import dagger, kron_chain, normalized_trace
+from .linalg import dagger, kron_chain
 from .model_ops import PAULI, ModelParams, pauli, vertex_operator
 from .tree import ROOT, TreeCoord, ball_vertices, concat
 
@@ -320,29 +325,42 @@ def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
     return _trace_weight(weight_matrix(ctx, n), n + 1, obs)
 
 
-def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one-vertex channel as a trilinear tensor, and its contractions with h.
+def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, tuple[complex, complex, complex, complex]]:
+    """The one-vertex channel on the vertex's own spin sector, and its contractions with h.
 
-    T[(p,q),(a,a'),(b,b'),(c,c')] = 1/4 sum_ij A[p,i,j,a,b,c] conj(A[q,i,j,a',b',c'])
-    maps the flattened 2x2 inputs (root, child 1, child 2) to the flattened
-    Tr_children(A (root x b1 x b2) A*), normalized, as model_ops.vertex_channel
-    does.  T_h[(p,q),(a,a')] is T with both children set to h: the value of a
-    vertex whose subtrees the observable does not touch.  The spine map S is T
-    with the identity on the root and h on child 2: it maps the value of the
-    one touched child to the value of a factor-free vertex.  A is exactly
-    symmetric under exchanging the children, so T equals T with its two child
-    slots swapped, bit for bit, and S serves a touched child 2 as well.  Built
-    on first use and cached on the context.
+    A = K K L is block-diagonal in its vertex's own sz: the Ising bonds are
+    diagonal and the XY bond acts only between the children, so A's entries
+    with output spin p != input spin a are exactly 0.  The channel
+    Tr_children(A (root x b1 x b2) A*) / 4, as model_ops.vertex_channel
+    normalizes it, therefore keeps the root's entry (p,q) where it is:
+
+      M[(p,q),(b,b'),(c,c')] = 1/4 sum_ij A[p,i,j,p,b,c] conj(A[q,i,j,q,b',c'])
+
+    is the output entry (p,q) per unit of that root entry, given the flattened
+    2x2 inputs of child 1 and child 2.  g[o] = sum_bc M[o,b,c] h[b] h[c] is
+    the vertex whose subtrees the observable does not touch (its leaf
+    vector).  The spine map, M with the identity on the root and h on child
+    2, maps the value of the one touched child to the value of a factor-free
+    vertex.  Only its rows and columns 0 and 3 (the diagonal entries) are
+    nonzero: the identity has no off-diagonal entry, and M conserves sz
+    charge, (b - b') + (c - c') = 0, so with a diagonal h on child 2 only
+    the touched child's diagonal reaches the output.  S holds those four
+    entries as Python complexes (s00, s03, s30, s33).  The tests check each
+    of these zeros exactly.  A is exactly symmetric under exchanging the
+    children, so S serves a touched child 2 as well.  Built on first use and
+    cached on the context.
     """
     if "channel" not in ctx._cache:
-        # A as (parent, children i j, inputs a b c): the sum runs over ij, then
-        # (p, q, a, b, c, a', b', c') is reordered to (p, q, a, a', b, b', c, c')
-        m = ctx.vertex.reshape(2, 4, 8)
-        pq = np.einsum("pia,qib->pqab", m, m.conj()).reshape((2,) * 8)
-        t = pq.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(4, 4, 4, 4) / 4
+        # A as (parent p, children ij, root input a, children's inputs bc); its
+        # two diagonal blocks a = p, then (p, q, b, c, b', c') reordered to (p, q, b, b', c, c')
+        v = ctx.vertex.reshape(2, 4, 2, 4)
+        ad = np.stack((v[0, :, 0, :], v[1, :, 1, :]))
+        pq = np.einsum("pib,qic->pqbc", ad, ad.conj()).reshape((2,) * 6)
+        m = pq.transpose(0, 1, 2, 4, 3, 5).reshape(4, 4, 4) / 4
         eye, h = PAULI["I"].reshape(4), ctx.h.reshape(4)
-        spine = np.einsum("oabc,a,c->ob", t, eye, h)
-        ctx._cache["channel"] = t, np.einsum("oabc,b,c->oa", t, h, h), spine
+        spine = np.einsum("obc,o,c->ob", m, eye, h)
+        s = spine[[0, 0, 3, 3], [0, 3, 0, 3]].tolist()  # rows and columns 1 and 2 are exactly 0
+        ctx._cache["channel"] = m, np.einsum("obc,b,c->o", m, h, h), tuple(s)
     return ctx._cache["channel"]
 
 
@@ -389,34 +407,41 @@ def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
     """One product term: its plan, built once per term, replayed on this context.
 
     The replay does only numeric work on a table of subtree values: row 0 is
-    h, the untouched subtree; every leaf of the term is T_h times its factor,
-    all in one einsum, into the table's last rows (leaf ids are negative,
-    counted from the end); each step then adds its chain tops (k spine matvecs
-    each) and its inner vertices (T contracted with the factor and both
-    children, one einsum); the root's value is traced against omega0.  Every
-    vertex kind has one kernel wherever it occurs, and einsum gives each row
-    the bits it would give that row alone, so a subtree's value depends only
-    on the subtree: a shared subtree carries the very value an unshared,
+    h, the untouched subtree; every leaf of the term is its factor times the
+    leaf vector g, all in one product, into the table's last rows (leaf ids
+    are negative, counted from the end); each step then adds its chain tops
+    (k spine maps each, on the value's two diagonal entries in Python complex
+    arithmetic) and its inner vertices (M contracted with the factor's entry
+    at the output and with both children, one einsum); the root's value is
+    traced against the diagonal omega0.  Each kernel leaves out only terms
+    that are exactly 0 (the channel's terms that would move the factor's
+    entry, S's rows and columns 1 and 2, omega0's off-diagonal), and _compile
+    refuses a factor that is not finite, so no 0 * inf is left out either.
+    Every vertex kind has one kernel wherever it occurs, and einsum gives each
+    row the bits it would give that row alone, so a subtree's value depends
+    only on the subtree: a shared subtree carries the very value an unshared,
     vertex-by-vertex evaluation computes.
     """
-    t, t_h, spine = channel_tensor(ctx)
+    m, g, (s00, s03, s30, s33) = channel_tensor(ctx)
     plan = term._plan
     values = np.empty((plan.size, 4), dtype=complex)
     values[_UNTOUCHED] = ctx.h.reshape(4)
-    values[-len(plan.leaves) :] = np.einsum("oa,na->no", t_h, plan.leaves)
+    values[-len(plan.leaves) :] = plan.leaves * g
     n = 1
     for tops, inner, children in plan.steps:
         for bottom, k in tops:
-            x = values[bottom]
+            u, _, _, v = values[bottom].tolist()
             for _ in range(k):
-                x = spine @ x
-            values[n] = x
+                u, v = s00 * u + s03 * v, s30 * u + s33 * v
+            values[n] = u, 0, 0, v
             n += 1
         if inner is not None:
             left, right = values[children]
-            values[n : n + len(inner)] = np.einsum("oabc,na,nb,nc->no", t, inner, left, right)
+            values[n : n + len(inner)] = np.einsum("obc,no,nb,nc->no", m, inner, left, right)
             n += len(inner)
-    return normalized_trace(ctx.omega0 @ values[plan.root].reshape(2, 2))
+    r0, _, _, r3 = values[plan.root].tolist()
+    w0, _, _, w3 = ctx.omega0.ravel().tolist()
+    return (w0 * r0 + w3 * r3) / 2
 
 
 def _compile(term: ObservableTerm) -> _Plan:

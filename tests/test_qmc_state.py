@@ -22,7 +22,7 @@ from cayley_qmc.analysis import (
 from cayley_qmc.boundary import Branch, BoundarySolution, delta_theta, solve_branch, solve_ordered
 from cayley_qmc.errors import CayleyQmcError, DomainError, ResourceLimitError
 from cayley_qmc.linalg import dagger, kron_chain, normalized_trace
-from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs, vertex_channel
+from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs, vertex_channel, vertex_operator
 from cayley_qmc.qmc_state import (
     EvalContext,
     Observable,
@@ -142,26 +142,49 @@ def test_bruteforce_support_guard(ctx_plus):
         eval_bruteforce(ctx_plus, obs, 0)
 
 
+def six_index_channel(ctx):
+    """The one-vertex channel as the full 4x4x4x4 tensor T, with its contractions with h: the engine's reference.
+
+    T[(p,q),(a,a'),(b,b'),(c,c')] = 1/4 sum_ij A[p,i,j,a,b,c] conj(A[q,i,j,a',b',c']) as one
+    six-index einsum; T_h sets both children to h, and the spine map sets the root to the
+    identity and child 2 to h.  The engine contracts only T's slice a = o (channel_tensor).
+    """
+    a = ctx.vertex.reshape((2,) * 6)
+    t = np.einsum("pijabc,qijxyz->pqaxbycz", a, a.conj()).reshape(4, 4, 4, 4) / 4
+    eye, h = PAULI["I"].reshape(4), ctx.h.reshape(4)
+    return t, np.einsum("oabc,b,c->oa", t, h, h), np.einsum("oabc,a,c->ob", t, eye, h)
+
+
+def spine_matrix(s):
+    """The 4x4 spine map of channel_tensor's four entries (s00, s03, s30, s33)."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[[0, 0, 3, 3], [0, 3, 0, 3]] = s
+    return out
+
+
 def contract_vertex(ctx, root, left, right):
-    """One vertex through the context's channel tensor."""
-    t, _, _ = channel_tensor(ctx)
+    """One vertex through the reference tensor T."""
+    t, _, _ = six_index_channel(ctx)
     flat = (np.asarray(m, dtype=complex).reshape(4) for m in (root, left, right))
     return np.einsum("oabc,a,b,c->o", t, *flat).reshape(2, 2)
 
 
 def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
-        t, t_h, spine = channel_tensor(ctx)
-        assert channel_tensor(ctx)[0] is t  # built once per context
+        m, g, s = channel_tensor(ctx)
+        assert channel_tensor(ctx)[0] is m  # built once per context
         for _ in range(5):
             a, b1, b2 = ((rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for _ in range(3))
             want = vertex_channel(ctx.vertex, a, b1, b2)
             assert np.max(np.abs(contract_vertex(ctx, a, b1, b2) - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
+            # the root's entry o stays at o: M carries it, per unit, for any root factor
+            got = np.einsum("obc,o,b,c->o", m, a.reshape(4), b1.reshape(4), b2.reshape(4)).reshape(2, 2)
+            assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
             want = vertex_channel(ctx.vertex, a, ctx.h, ctx.h)
-            got = (t_h @ a.reshape(4)).reshape(2, 2)
+            got = (g * a.reshape(4)).reshape(2, 2)
             assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
             # the spine map: no factor at the vertex, h on the untouched child, on either side
-            got = (spine @ b1.reshape(4)).reshape(2, 2)
+            got = (spine_matrix(s) @ b1.reshape(4)).reshape(2, 2)
             for want in (
                 vertex_channel(ctx.vertex, PAULI["I"], b1, ctx.h),
                 vertex_channel(ctx.vertex, PAULI["I"], ctx.h, b1),
@@ -179,24 +202,89 @@ def test_channel_is_exactly_symmetric_in_its_children(j0, j, beta):
             ctx = EvalContext.create(p, branch)
         except CayleyQmcError:
             continue
-        t, _, spine = channel_tensor(ctx)
-        assert t.tobytes() == t.transpose(0, 1, 3, 2).tobytes()
-        other_side = np.einsum("oabc,a,b->oc", t, PAULI["I"].reshape(4), ctx.h.reshape(4))
-        assert other_side.tobytes() == spine.tobytes()
+        m, _, s = channel_tensor(ctx)
+        assert m.tobytes() == m.transpose(0, 2, 1).tobytes()
+        other_side = np.einsum("obc,o,b->oc", m, PAULI["I"].reshape(4), ctx.h.reshape(4))
+        assert other_side.tobytes() == spine_matrix(s).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.05, 6.0))
 def test_channel_tensor_is_the_six_index_einsum_bit_for_bit(j0, j, beta):
+    # M is T's slice a = o, g is T_h's diagonal and S is T's spine map, bit for bit
     p = ModelParams(j0, j, beta)
     for branch in Branch:
         try:
             ctx = EvalContext.create(p, branch)
         except CayleyQmcError:
             continue
-        a = ctx.vertex.reshape((2,) * 6)
-        want = np.einsum("pijabc,qijxyz->pqaxbycz", a, a.conj()).reshape(4, 4, 4, 4) / 4
-        assert channel_tensor(ctx)[0].tobytes() == want.tobytes()
+        t, t_h, spine = six_index_channel(ctx)
+        m, g, s = channel_tensor(ctx)
+        o = np.arange(4)
+        assert m.tobytes() == t[o, o].tobytes()
+        assert g.tobytes() == t_h.diagonal().tobytes()
+        assert spine_matrix(s).tobytes() == spine.tobytes()
+        assert all(type(x) is complex for x in s)
+
+
+# --- the structure the engine's kernels rely on, exactly, over sampled (J0, J, beta) ---
+
+# j0 = 0 half the time, so the xy branch is solved as often as the others
+structure_points = st.tuples(
+    st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), st.floats(-2.0, 2.0), st.floats(0.1, 5.0)
+).map(lambda t: ModelParams(*t))
+
+
+def _contexts(p):
+    """The contexts of every branch that solves at p."""
+    out = []
+    for branch in Branch:
+        try:
+            out.append(EvalContext.create(p, branch))
+        except CayleyQmcError:
+            pass
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_points)
+def test_vertex_operator_is_block_diagonal_in_its_own_spin(p):
+    # A[p, i, j, a, b, c] with p != a
+    a = vertex_operator(p).reshape(2, 4, 2, 4)
+    assert not a[0, :, 1, :].any() and not a[1, :, 0, :].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_points)
+def test_channel_conserves_sz_charge_exactly(p):
+    # M[(p,q),(b,b'),(c,c')] with (b - b') + (c - c') != 0
+    for ctx in _contexts(p):
+        m = channel_tensor(ctx)[0].reshape((2,) * 6)
+        for idx in itertools.product((0, 1), repeat=6):
+            _, _, b, b_, c, c_ = idx
+            if b - b_ + c - c_ != 0:
+                assert m[idx] == 0.0, idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_points)
+def test_spine_map_acts_on_the_diagonal_alone(p):
+    for ctx in _contexts(p):
+        m = channel_tensor(ctx)[0]
+        spine = np.einsum("obc,o,c->ob", m, PAULI["I"].reshape(4), ctx.h.reshape(4))
+        assert not spine[[1, 2], :].any() and not spine[:, [1, 2]].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_points, st.integers(0, 2**32 - 1))
+def test_channel_of_a_factor_free_vertex_is_diagonal(p, seed):
+    # Phi(h) for a positive h that is not diagonal: the boundary is diagonal because of the structure
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = x @ dagger(x) + 0.1 * np.eye(2)
+    assert h[0, 1] != 0
+    out = vertex_channel(vertex_operator(p), PAULI["I"], h, h)
+    assert out[0, 1] == 0 and out[1, 0] == 0
 
 
 def test_contract_vertex_fixed_point(ctx_plus, ctx_minus, ctx_disordered):
@@ -228,11 +316,12 @@ def test_contract_vertex_projector_block(ctx_plus):
 def unshared_recursive(ctx, obs):
     """The recursive route one vertex at a time, with no subtree shared: the reference for sharing.
 
-    It applies the engine's per-vertex rule: a leaf is T_h times its factor,
-    a factor-free vertex with one touched child is the spine map times that
-    child, and any other vertex contracts T with its factor and both children.
+    It applies the engine's per-vertex rule with the full reference tensor
+    (six_index_channel): a leaf is T_h times its factor, a factor-free vertex
+    with one touched child is the 4x4 spine map times that child, and any
+    other vertex contracts T with its factor and both children.
     """
-    t, t_h, spine = channel_tensor(ctx)
+    t, t_h, spine = six_index_channel(ctx)
     total = 0j
     for term in obs.terms:
         fmap = term.factor_map
