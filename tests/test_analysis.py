@@ -65,8 +65,7 @@ def test_series_closed_form_matches_iteration(p, branch):
 
 
 REFUSAL_POINT = ModelParams(1.0, 0.3, 1.2)
-# a str value used to fail with AttributeError on .value instead of the refusal, and
-# "plus" used to pass as the plus branch, although solve_branch refuses it
+# a str equal to a branch's value is not a Branch: the closed forms refuse it, as solve_branch does
 NOT_ORDERED = (
     Branch.DISORDERED,
     Branch.XY_ONLY,

@@ -142,6 +142,17 @@ def test_bruteforce_support_guard(ctx_plus):
         eval_bruteforce(ctx_plus, obs, 0)
 
 
+def _contexts(p):
+    """The contexts of every branch that solves at p."""
+    out = []
+    for branch in Branch:
+        try:
+            out.append(EvalContext.create(p, branch))
+        except CayleyQmcError:
+            pass
+    return out
+
+
 def six_index_channel(ctx):
     """The one-vertex channel as the full 4x4x4x4 tensor T, with its contractions with h: the engine's reference.
 
@@ -196,12 +207,7 @@ def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disorder
 @given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.05, 6.0))
 def test_channel_is_exactly_symmetric_in_its_children(j0, j, beta):
     # A is symmetric under exchanging the children, so one spine map serves both sides
-    p = ModelParams(j0, j, beta)
-    for branch in Branch:
-        try:
-            ctx = EvalContext.create(p, branch)
-        except CayleyQmcError:
-            continue
+    for ctx in _contexts(ModelParams(j0, j, beta)):
         m, _, s = channel_tensor(ctx)
         assert m.tobytes() == m.transpose(0, 2, 1).tobytes()
         other_side = np.einsum("obc,o,b->oc", m, PAULI["I"].reshape(4), ctx.h.reshape(4))
@@ -212,12 +218,7 @@ def test_channel_is_exactly_symmetric_in_its_children(j0, j, beta):
 @given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.05, 6.0))
 def test_channel_tensor_is_the_six_index_einsum_bit_for_bit(j0, j, beta):
     # M is T's slice a = o, g is T_h's diagonal and S is T's spine map, bit for bit
-    p = ModelParams(j0, j, beta)
-    for branch in Branch:
-        try:
-            ctx = EvalContext.create(p, branch)
-        except CayleyQmcError:
-            continue
+    for ctx in _contexts(ModelParams(j0, j, beta)):
         t, t_h, spine = six_index_channel(ctx)
         m, g, s = channel_tensor(ctx)
         o = np.arange(4)
@@ -233,17 +234,6 @@ def test_channel_tensor_is_the_six_index_einsum_bit_for_bit(j0, j, beta):
 structure_points = st.tuples(
     st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), st.floats(-2.0, 2.0), st.floats(0.1, 5.0)
 ).map(lambda t: ModelParams(*t))
-
-
-def _contexts(p):
-    """The contexts of every branch that solves at p."""
-    out = []
-    for branch in Branch:
-        try:
-            out.append(EvalContext.create(p, branch))
-        except CayleyQmcError:
-            pass
-    return out
 
 
 @settings(max_examples=60, deadline=None)
