@@ -343,7 +343,7 @@ class PhasePoint(NamedTuple):
     threshold: float
 
 
-MAX_SCAN_POINTS = 1_000_000  # resolution**2 beyond this is refused before the grid exists
+MAX_SCAN_POINTS = 1_000_000  # scan points (resolution**2, or projector steps) beyond this are refused before any grid exists
 
 
 def phase_diagram_scan(

@@ -46,7 +46,7 @@ SINGULAR_TOL = 1e-14
 REGION_GUARD = 1e-9
 
 
-class Branch(str, Enum):
+class Branch(Enum):
     DISORDERED = "disordered"
     ORDERED_PLUS = "plus"
     ORDERED_MINUS = "minus"
@@ -267,9 +267,7 @@ def ordered_sign(branch: Branch) -> float:
     return _ORDERED_SIGN[branch]
 
 
-# typed: a str equal to a branch's value is a key of its own, so it reaches the refusal
-# below instead of the Branch's cached solution
-@functools.lru_cache(maxsize=256, typed=True)
+@functools.lru_cache(maxsize=256)
 def solve_branch(p: ModelParams, branch: Branch) -> BoundarySolution:
     """The branch's solution, built and checked on the first call per (frozen) parameter set.
 

@@ -272,6 +272,8 @@ def _cmd_phase_diagram(args) -> str:
 def _cmd_projector(args) -> str:
     if args.steps < 1:
         raise DomainError(f"steps must be >= 1, got {args.steps}")
+    if args.steps > analysis.MAX_SCAN_POINTS:
+        raise ResourceLimitError(f"{args.steps} steps exceed the {analysis.MAX_SCAN_POINTS}-point guard")
     betas = [float(b) for b in np.linspace(args.beta_min, args.beta_max, args.steps)]
     rows = analysis.projector_limit_scan(args.j0, args.j, args.n, betas)
     if args.format == "json":

@@ -31,16 +31,17 @@ support, a chain vertex), which acts on the two diagonal entries alone.
 Each product term is evaluated in two parts:
 
 * a plan, which depends only on the term and is built on its first
-  evaluation and kept on the (immutable) term: it visits only the levels
-  where something happens (a factor, or two touched subtrees meeting),
-  carries every chain vertex in between as a count of spine maps, and
-  interns equal subtrees (e.g. a ball projector's), so a level-uniform
-  observable costs O(depth) and a product with nothing shared costs one row
-  per active vertex;
+  evaluation and kept on the (immutable) term: one flat tuple of ops in
+  dependency order, compiled in one depth-first pass that stops only at the
+  branch points (the root, the sites, and the vertices where two sites'
+  paths part).  Every chain vertex in between is carried as a count of
+  spine maps, and equal subtrees (e.g. a ball projector's) are interned, so
+  a level-uniform observable costs O(depth) and a product with nothing
+  shared costs one op per branch point;
 * a replay per context, which does only the numeric work: one product for
-  all leaves, k scalar 2x2 steps per chain, one einsum per level for the
-  inner vertices, and the scalar trace against the diagonal omega0 at the
-  root.
+  all leaves, then per op k scalar 2x2 steps (a chain top) or one einsum on
+  a one-row batch (an inner vertex), and the scalar trace against the
+  diagonal omega0 at the root.
 
 Evaluating one observable on several states, as the phase-transition
 witnesses do, therefore repeats only the replay.
@@ -73,7 +74,8 @@ class ObservableTerm:
     complex copy, made once per distinct input array (a projector's sites
     share one), so writing to the caller's array afterwards changes nothing
     and writing to a stored factor raises ValueError.  That is what lets the
-    term carry its contraction plan (`_plan`, built on first evaluation).
+    term carry its contraction plan (`_plan`, built on first evaluation).  A
+    factor with an entry that is not finite is a DomainError.
     Two terms are equal when their coefficients are and, in order, their sites
     and their factors' bytes.
     """
@@ -95,6 +97,9 @@ class ObservableTerm:
                     raise DomainError(f"factors must be 2x2, got shape {a.shape}")
                 a.setflags(write=False)
             factors.append((site, a))
+        # one test per term: no kernel and no oracle may see an inf or a nan
+        if not np.isfinite(tuple(copies.values())).all():
+            raise DomainError("an observable factor has an entry that is not finite")
         object.__setattr__(self, "coeff", complex(self.coeff))
         object.__setattr__(self, "factors", tuple(factors))
 
@@ -365,7 +370,7 @@ def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, tuple[comp
 
 
 def eval_recursive(ctx: EvalContext, obs: Observable) -> complex:
-    """Evaluate by contracting the tree level by level toward the root.
+    """Evaluate by contracting the tree from the support up toward the root.
 
     Per term, only the ancestors of the support are built.  A vertex whose
     children lie outside the support absorbs the solved boundary pair (h, h)
@@ -386,20 +391,14 @@ def eval_recursive(ctx: EvalContext, obs: Observable) -> complex:
 
 _EYE_BYTES = PAULI["I"].tobytes()
 _UNTOUCHED = 0  # the subtree id of a child outside the support: its value is h
-
-
-class _Step(NamedTuple):
-    """The subtrees one event level adds, in id order: chain tops, then inner vertices."""
-
-    tops: tuple[tuple[int, int], ...]  # (bottom id, k): the spine map applied k times to the bottom's value
-    inner: np.ndarray | None  # the inner vertices' factors, one flattened row each
-    children: np.ndarray | None  # their left and right child ids, shape (2, rows)
+_BARE = (_UNTOUCHED, 0)  # an untouched child slot: (subtree id, spine maps)
+_BITS = bytes.maketrans(b"\x01\x02", b"01")  # a site's digits as the binary digits of its index
 
 
 class _Plan(NamedTuple):
-    size: int  # rows of the value table: h, the steps' subtrees in order, then the leaves
+    size: int  # rows of the value table: h, one per op in order, then the leaves
     leaves: np.ndarray  # the leaves' factors, one flattened row each, last leaf first (a term has one at least)
-    steps: tuple[_Step, ...]
+    ops: tuple[tuple, ...]  # a chain top (bottom id, k) or an inner vertex (factor row, left id, right id)
     root: int
 
 
@@ -409,36 +408,34 @@ def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
     The replay does only numeric work on a table of subtree values: row 0 is
     h, the untouched subtree; every leaf of the term is its factor times the
     leaf vector g, all in one product, into the table's last rows (leaf ids
-    are negative, counted from the end); each step then adds its chain tops
-    (k spine maps each, on the value's two diagonal entries in Python complex
-    arithmetic) and its inner vertices (M contracted with the factor's entry
-    at the output and with both children, one einsum); the root's value is
-    traced against the diagonal omega0.  Each kernel leaves out only terms
-    that are exactly 0 (the channel's terms that would move the factor's
-    entry, S's rows and columns 1 and 2, omega0's off-diagonal), and _compile
-    refuses a factor that is not finite, so no 0 * inf is left out either.
-    Every vertex kind has one kernel wherever it occurs, and einsum gives each
-    row the bits it would give that row alone, so a subtree's value depends
-    only on the subtree: a shared subtree carries the very value an unshared,
-    vertex-by-vertex evaluation computes.
+    are negative, counted from the end); each op then fills the next row, a
+    chain top with k spine maps on its bottom's two diagonal entries in Python
+    complex arithmetic, an inner vertex with M contracted with the factor's
+    entry at the output and with both children (one einsum on a one-row
+    batch); the root's value is traced against the diagonal omega0.  Each
+    kernel leaves out only terms that are exactly 0 (the channel's terms
+    that would move the factor's entry, S's rows and columns 1 and 2,
+    omega0's off-diagonal), and a term refuses a factor that is not finite,
+    so no 0 * inf is left out either.  Every vertex kind has one kernel
+    wherever it occurs, so a subtree's value depends only on the subtree: a
+    shared subtree carries the very value an unshared, vertex-by-vertex
+    evaluation computes.
     """
     m, g, (s00, s03, s30, s33) = channel_tensor(ctx)
     plan = term._plan
     values = np.empty((plan.size, 4), dtype=complex)
     values[_UNTOUCHED] = ctx.h.reshape(4)
     values[-len(plan.leaves) :] = plan.leaves * g
-    n = 1
-    for tops, inner, children in plan.steps:
-        for bottom, k in tops:
+    for n, op in enumerate(plan.ops, 1):
+        if len(op) == 2:
+            bottom, k = op
             u, _, _, v = values[bottom].tolist()
             for _ in range(k):
                 u, v = s00 * u + s03 * v, s30 * u + s33 * v
             values[n] = u, 0, 0, v
-            n += 1
-        if inner is not None:
-            left, right = values[children]
-            values[n : n + len(inner)] = np.einsum("obc,no,nb,nc->no", m, inner, left, right)
-            n += len(inner)
+        else:
+            row, left, right = op
+            values[n] = np.einsum("obc,no,nb,nc->no", m, row, values[left, None], values[right, None])
     r0, _, _, r3 = values[plan.root].tolist()
     w0, _, _, w3 = ctx.omega0.ravel().tolist()
     return (w0 * r0 + w3 * r3) / 2
@@ -447,121 +444,85 @@ def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
 def _compile(term: ObservableTerm) -> _Plan:
     """The context-free plan of one term: which subtrees to contract, in which order.
 
-    Levels are visited deepest first, but only event levels: a level that
-    holds a factor, a level where two touched subtrees meet, and the root's.
-    Every touched vertex in between is a chain vertex (no factor, or exactly
-    the identity's bytes, and one touched child), so it is carried up as
-    (bottom subtree id, k spine maps still to apply), its index shifted by
-    i >> s, and the levels in between are never visited.  Of the sorted
-    touched indices at level L, adjacent ones a < b meet at level
-    L - (a ^ b).bit_length().  At an event level, a carried chain that
-    reaches a factor or a second touched child is materialized as a chain
-    top, interned by (bottom id, k); leaves and inner vertices are interned by
-    (factor bytes, left id, right id), so equal subtrees, such as those of a
-    ball projector, are contracted once.  A leaf needs no other subtree, so
-    the leaves of all levels are contracted together, first.
+    One pass over the sites in depth-first order (sorted by digits), each
+    labelled v = 2^level + index, keeps a stack of the open branch points on
+    the current path: the root, every site, and every vertex where two sites'
+    paths part.  A site off the stack's path parts from the stack's top at
+    level l - (a ^ b).bit_length(), with a and b the two labels brought to the
+    shallower level l; the branch points below that are finished.  Every
+    touched vertex that is not a branch point is a chain vertex (no factor and
+    one touched child), so it is never visited: a finished branch point
+    reaches its parent's child slot as (subtree id, k spine maps still to
+    apply), k counting the levels in between.  A branch point with no factor,
+    or exactly the identity's bytes, and one touched child joins the chain;
+    any other is interned by (factor bytes, left id, right id), after each
+    touched child's chain is interned as a chain top (bottom id, k).  Equal
+    subtrees, such as those of a ball projector (one leaf and one inner op
+    per level), are therefore contracted once.  Leaves need no other subtree,
+    so they are contracted together, first; ops come in dependency order.
     """
-    # One site, or none: its leaf, then one chain up to the root.  The walk
+    # One site, or none: its leaf, then one chain up to the root.  The pass
     # below builds the same plan; fresh one-site markers are frequent enough
-    # (each solved point checks several) that skipping the walk pays.
+    # (each solved point checks several) that skipping it pays.
     if len(term.factors) <= 1:
         site, mat = term.factors[0] if term.factors else (ROOT, PAULI["I"])
-        leaf = _finite(mat.reshape(1, 4))
         if site.level == 0:
-            return _Plan(2, leaf, (), -1)
-        return _Plan(3, leaf, (_Step(((-1, site.level),), None, None),), 1)
-    by_level: dict[int, dict[int, bytes]] = {0: {0: _EYE_BYTES}}  # the root is always an event
-    raw: dict[int, bytes] = {}  # id of a stored factor -> its bytes, once per distinct array
-    for site, mat in term.factors:
-        if id(mat) not in raw:
-            raw[id(mat)] = mat.tobytes()
-        by_level.setdefault(site.level, {})[site.index] = raw[id(mat)]
-    factor_levels = sorted(by_level)
-    ids: dict[tuple, int] = {}  # interned subtree -> its row: steps' subtrees from 1 up, leaves from -1 down
-    leaves: list[tuple] = []
-    inner: list[tuple] = []  # all steps' inner vertices, in id order
-    steps: list[tuple[tuple[tuple[int, int], ...], int, int]] = []  # (chain tops, inner[start:stop])
-    made = 0  # rows the steps fill
-    # the touched vertices at level `below`: index -> subtree id, and for a carried
-    # chain index -> the spine maps still to apply to that subtree (only where > 0)
-    below, front, lift = factor_levels[-1] + 1, {}, {}
+            return _Plan(2, mat.reshape(1, 4), (), -1)
+        return _Plan(3, mat.reshape(1, 4), ((-1, site.level),), 1)
+    ids: dict[tuple, int] = {}  # interned subtree -> its row: ops from 1 up, leaves from -1 down
+    leaves: list[bytes] = []
+    ops: list[tuple] = []
 
-    def top(v: int, k: int) -> int:
-        """The id of the chain top k spine maps above subtree v, interned."""
-        nonlocal made
-        if (v, k) not in ids:
-            made += 1
-            ids[v, k] = made
-            tops.append((v, k))
-        return ids[v, k]
-
-    while below > 0:
-        level = factor_levels[-1]
-        if level < below - 1 and len(front) > 1:  # two touched subtrees may meet first
-            touched = sorted(front)
-            level = max(level, below - min(map(int.__xor__, touched, touched[1:])).bit_length())
-        if level == factor_levels[-1]:
-            factor_levels.pop()
-        shift = below - level - 1
-        if shift:
-            lift = {i >> shift: lift.get(i, 0) + shift for i in front}
-            front = {i >> shift: v for i, v in front.items()}
-        here = by_level.get(level, {})
-        carried = {}  # the chain vertices of this level: index -> (subtree id, spine maps)
-        for j in [j for j in front if j ^ 1 not in front]:
-            if here.get(j >> 1, _EYE_BYTES) == _EYE_BYTES:
-                carried[j >> 1] = front.pop(j), lift.pop(j, 0) + 1
-        tops: list[tuple[int, int]] = []
-        for j, k in lift.items():
-            front[j] = top(front[j], k)
-        vertices = here.keys() | {j >> 1 for j in front}
-        keys = {
-            i: (here.get(i, _EYE_BYTES), front.get(2 * i, _UNTOUCHED), front.get(2 * i + 1, _UNTOUCHED))
-            for i in (vertices - carried.keys() if carried else vertices)
-        }
-        start = len(inner)
-        for key in dict.fromkeys(keys.values()):
-            if key in ids:
-                continue
-            if key[1] == key[2] == _UNTOUCHED:
-                leaves.append(key)
+    def intern(key: tuple) -> int:
+        """The id of a chain top (bottom id, k) or a vertex (factor bytes, left id, right id)."""
+        if key not in ids:
+            if key[1:] == (_UNTOUCHED, _UNTOUCHED):  # a leaf
+                leaves.append(key[0])
                 ids[key] = -len(leaves)
             else:
-                inner.append(key)
-                made += 1
-                ids[key] = made
-        if tops or len(inner) > start:
-            steps.append((tuple(tops), start, len(inner)))
-        below, front, lift = level, {i: ids[key] for i, key in keys.items()}, {}
-        for i, (v, k) in carried.items():
-            front[i], lift[i] = v, k
-    tops = []  # the root's chain top, if the root is a chain vertex
-    root = top(front[0], lift[0]) if lift else front[0]
-    if tops:
-        steps.append((tuple(tops), len(inner), len(inner)))
-    # every factor that is not the identity sits in a leaf or an inner row, so one test covers the term
-    table = _finite(_stack(key[0] for key in [*reversed(leaves), *inner]))
-    rows = table[len(leaves) :]
-    if inner:
-        children = np.array([[key[1] for key in inner], [key[2] for key in inner]], dtype=np.intp)
-    return _Plan(
-        1 + made + len(leaves),
-        table[: len(leaves)],
-        tuple(_Step(t, rows[a:b], children[:, a:b]) if b > a else _Step(t, None, None) for t, a, b in steps),
-        root,
-    )
+                ops.append(key if len(key) == 2 else (np.frombuffer(key[0], dtype=complex).reshape(1, 4), *key[1:]))
+                ids[key] = len(ops)
+        return ids[key]
 
+    def settle(v: int, k: int) -> int:
+        """The id of subtree v under k spine maps: v itself, or its chain top."""
+        return intern((v, k)) if k else v
 
-def _stack(factors: Iterable[bytes]) -> np.ndarray:
-    """Flattened 2x2 factors, one row each, from their bytes."""
-    return np.frombuffer(b"".join(factors), dtype=complex).reshape(-1, 4)
+    def finish() -> None:
+        """Hand the stack's top branch point to its parent's child slot, interned or as a chain."""
+        level, label, factor, kids = stack.pop()
+        up = level - stack[-1][0] - 1  # the chain vertices between it and its parent
+        side = label >> up & 1
+        if factor == _EYE_BYTES and len(kids) == 1:  # a chain vertex itself
+            ((v, k),) = kids.values()
+            stack[-1][3][side] = v, k + 1 + up
+        else:
+            stack[-1][3][side] = intern((factor, settle(*kids.get(0, _BARE)), settle(*kids.get(1, _BARE)))), up
 
-
-def _finite(rows: np.ndarray) -> np.ndarray:
-    """A plan's factor rows, refused unless every entry is finite: no kernel may see an inf or a nan."""
-    if not np.isfinite(rows).all():
-        raise DomainError("an observable factor has an entry that is not finite")
-    return rows
+    distinct = {id(m): m for _, m in term.factors}  # a projector's sites share one stored factor
+    raw = {i: m.tobytes() for i, m in distinct.items()}
+    sites = sorted((bytes(s.digits).translate(_BITS), raw[id(m)]) for s, m in term.factors)
+    # the open branch points as (level, label, factor bytes, child slots), under
+    # an entry above the root whose one slot receives the root's value
+    stack = [(-1, 0, None, {}), (0, 1, _EYE_BYTES, {})]
+    if not sites[0][0]:  # a factor on the root
+        stack[1] = (0, 1, sites.pop(0)[1], {})
+    for path, factor in sites:
+        level, label = len(path), int(b"1" + path, 2)
+        top, top_label = stack[-1][:2]
+        shallow = level if level < top else top
+        part = shallow - ((label >> level - shallow) ^ (top_label >> top - shallow)).bit_length()
+        while stack[-1][0] > part:
+            if stack[-2][0] < part:  # the paths part between two branch points: a new one
+                stack.insert(-1, (part, label >> level - part, _EYE_BYTES, {}))
+            finish()
+        stack.append((level, label, factor, {}))
+    while len(stack) > 1:
+        finish()
+    ((v, k),) = stack[0][3].values()
+    root = settle(v, k)
+    leaves = np.frombuffer(b"".join(reversed(leaves)), dtype=complex).reshape(-1, 4)
+    return _Plan(1 + len(ops) + len(leaves), leaves, tuple(ops), root)
 
 
 def reduced_weight(ctx: EvalContext, n: int) -> np.ndarray:

@@ -8,6 +8,13 @@ CLASSICAL_POINT = ModelParams(1.0, 0.0, 1.0)
 XY_POINT = ModelParams(0.0, 1.0, 0.7)
 
 
+def pytest_make_parametrize_id(config, val, argname):
+    """A Branch parameter is named by its value ("plus"), as the CLI names it."""
+    if isinstance(val, Branch):
+        return val.value
+    return None
+
+
 @pytest.fixture(scope="session")
 def ctx_plus():
     return EvalContext.create(ORDERED_POINT, Branch.ORDERED_PLUS)

@@ -271,6 +271,11 @@ def test_signed_zeros_share_one_solution_with_the_same_bits(zero, negative_zero,
         assert repr((a.residual, a.xi0, a.xi3, a.alpha)) == repr((b.residual, b.xi0, b.xi3, b.alpha))
 
 
+def test_a_branch_is_not_its_str_value():
+    assert Branch.ORDERED_PLUS != "plus"
+    assert Branch("plus") is Branch.ORDERED_PLUS and Branch.ORDERED_PLUS.value == "plus"
+
+
 @pytest.mark.parametrize("branch", ["plus", "minus", "disordered", "xy", "bogus", None])
 def test_solve_branch_refuses_a_branch_that_is_not_a_branch(branch):
     # a str equal to a Branch's value used to come back with a str .branch, or fail on .value

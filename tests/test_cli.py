@@ -210,6 +210,19 @@ def test_projector_beyond_double_depth_names_n(capsys, n):
     assert "couplings times beta" not in err
 
 
+@pytest.mark.parametrize("steps", [analysis.MAX_SCAN_POINTS + 1, 10**12])
+def test_projector_steps_guard_exits_3_before_allocating(capsys, monkeypatch, steps):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the beta grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    argv = ["projector", "--j0", "1", "--j", "0.3", "--n", "3", "--beta-min", "1", "--beta-max", "2", "--steps", str(steps)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:")
+
+
 def test_cluster_json(capsys):
     argv = ["cluster", "--j0", "1", "--j", "0", "--beta", "1", "--branch", "plus", "--max-level", "5", "--format", "json"]
     code, out, _ = run_cli(capsys, argv)

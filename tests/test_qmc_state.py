@@ -1,5 +1,7 @@
 import functools
+import inspect
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -365,8 +367,17 @@ def _factor(data, shape=(2, 2)):
 def _sparse_term(data, max_depth=40):
     count = data.draw(st.integers(1, 8), label="factors")
     digits = st.lists(st.integers(1, 2), min_size=0, max_size=max_depth).map(tuple)
-    sites = data.draw(st.sets(digits, min_size=count, max_size=count), label="sites")
+    sites = sorted(data.draw(st.sets(digits, min_size=count, max_size=count), label="sites"))
     factors = {TreeCoord(d): _factor(data) for d in sites}
+    # ancestors of the sites, identity or random: an identity vertex above exactly one
+    # site is a chain vertex, and one where two sites' paths part is an inner vertex
+    for d in sites:
+        if data.draw(st.booleans(), label="ancestor"):
+            cut = data.draw(st.integers(0, len(d)), label="ancestor level")
+            factors.setdefault(TreeCoord(d[:cut]), _factor(data))
+    for a, b in zip(sites, sites[1:]):
+        if data.draw(st.booleans(), label="parting vertex"):
+            factors.setdefault(TreeCoord(os.path.commonprefix([a, b])), _factor(data))
     if data.draw(st.booleans(), label="root factor"):
         factors[ROOT] = _factor(data)
     coeff = complex(*data.draw(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), label="coeff"))
@@ -382,6 +393,47 @@ def test_plan_replay_is_the_vertex_by_vertex_walk_bit_for_bit(ctx_plus, ctx_minu
     obs = Observable(terms)
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
         assert eval_recursive(ctx, obs) == unshared_recursive(ctx, obs)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_ball_projector_compiles_to_one_leaf_and_one_inner_op_per_level(n):
+    plan = projector_observable(n, "P").terms[0]._plan
+    assert len(plan.leaves) == 1
+    assert len(plan.ops) == n and all(len(op) == 3 for op in plan.ops)  # (factor row, left id, right id)
+
+
+def test_a_deep_two_site_term_compiles_and_evaluates_without_recursion(ctx_plus, ctx_minus, ctx_disordered):
+    a, f, deep = E11, PAULI["Z"], TreeCoord((1,) * 5000)
+    term = ObservableTerm(1.0, ((ROOT, a), (deep, f)))
+    obs = Observable((term,))
+    # a walk that recursed once per level would need 5000 frames; allow 50 above this one
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        plan = term._plan
+        values = [eval_recursive(ctx, obs) for ctx in (ctx_plus, ctx_minus, ctx_disordered)]
+    finally:
+        sys.setrecursionlimit(limit)
+    # the leaf f, one chain of 4999 spine maps up to the root's child, and the root
+    assert len(plan.leaves) == 1 and plan.ops[0] == (-1, 4999) and plan.ops[1][1:] == (1, 0)
+    for ctx, value in zip((ctx_plus, ctx_minus, ctx_disordered), values):
+        product = eval_recursive(ctx, Observable.single(ROOT, a)) * eval_recursive(ctx, Observable.single(deep, f))
+        assert abs(value - product) < 1e-14
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_every_route_refuses_a_non_finite_factor(ctx_plus, bad):
+    routes = (
+        lambda obs: eval_recursive(ctx_plus, obs),
+        lambda obs: eval_bruteforce(ctx_plus, obs, 1),
+        lambda obs: eval_sparse(ctx_plus, obs, 2),
+    )
+    for route in routes:
+        for site in (ROOT, TreeCoord((2, 1))):
+            with pytest.raises(DomainError, match="not finite"):
+                route(Observable.single(site, [[1, 0], [bad, 1]]))
+            with pytest.raises(DomainError, match="not finite"):
+                route(Observable.product({TreeCoord((1,)): PAULI["Z"], site: np.diag([1, bad])}))
 
 
 def _fresh_copy(obs):
