@@ -38,6 +38,7 @@ from .tree import ROOT
 USAGE_EXIT = 64
 DOMAIN_EXIT = 2
 RESOURCE_EXIT = 3
+MAX_CLUSTER_LEVEL = 1000  # cluster --max-level beyond this is refused: its cost grows with the square of the level
 
 
 def fmt(x: float) -> str:
@@ -233,7 +234,7 @@ def _cmd_evaluate(args) -> str:
     with open(args.observable, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DomainError(f"observable file {args.observable} is not JSON: {exc}") from None
     obs = Observable.from_json_dict(doc)
     ctx = EvalContext.create(params, Branch(args.branch))
@@ -287,6 +288,8 @@ def _cmd_projector(args) -> str:
 def _cmd_cluster(args) -> str:
     if args.max_level < 4:
         raise DomainError(f"--max-level must be >= 4 to fit a ratio, got {args.max_level}")
+    if args.max_level > MAX_CLUSTER_LEVEL:
+        raise ResourceLimitError(f"--max-level {args.max_level} exceeds the {MAX_CLUSTER_LEVEL}-level guard")
     params = ModelParams(args.j0, args.j, args.beta)
     branch = Branch(args.branch)
     ctx = EvalContext.create(params, branch)
@@ -355,19 +358,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             text, status = _cmd_verify(args)
         else:
             text, status = _COMMANDS[args.command](args), 0
+        _emit(text, args.out)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return RESOURCE_EXIT
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an observable or --out path that cannot be read or written
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
     except OverflowError as exc:
         print(f"domain error: couplings times beta overflow a float ({exc})", file=sys.stderr)
         return DOMAIN_EXIT
-    _emit(text, args.out)
     return status
 
 

@@ -24,11 +24,12 @@ boundary pair (h, h) of its children; for diagonal factors this coincides
 with sandwiching h^{1/2} directly at level m.  The vertex operator A is
 block-diagonal in its vertex's own sz, so the per-vertex channel keeps each
 entry of the vertex's factor where it is: it is the 4x4x4 tensor M of the
-children's inputs per output entry, built once per context
-(channel_tensor), with its leaf vector g (both children h) and its spine
-map S (the channel of a factor-free vertex with exactly one child in the
-support, a chain vertex), which acts on the two diagonal entries alone.
-Each product term is evaluated in two parts:
+children's inputs per output entry, nonzero at six child pairs each.  Those
+24 entries, its leaf vector g (both children h) and its spine map S (the
+channel of a factor-free vertex with one child in the support, a chain
+vertex, on the two diagonal entries alone) are built once per context as
+Python complex numbers (channel_tensor).  A product term is then evaluated
+in two parts:
 
 * a plan, which depends only on the term and is built on its first
   evaluation and kept on the (immutable) term: one flat tuple of ops in
@@ -38,10 +39,10 @@ Each product term is evaluated in two parts:
   spine maps, and equal subtrees (e.g. a ball projector's) are interned, so
   a level-uniform observable costs O(depth) and a product with nothing
   shared costs one op per branch point;
-* a replay per context, which does only the numeric work: one product for
-  all leaves, then per op k scalar 2x2 steps (a chain top) or one einsum on
-  a one-row batch (an inner vertex), and the scalar trace against the
-  diagonal omega0 at the root.
+* a replay per context, which does only the numeric work, in Python
+  complex arithmetic: per op one value (a leaf's factor times g, a chain
+  top's k scalar 2x2 steps, an inner vertex's six child pairs per entry),
+  then the scalar trace of the last op, the root, against omega0.
 
 Evaluating one observable on several states, as the phase-transition
 witnesses do, therefore repeats only the replay.
@@ -52,7 +53,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -119,7 +120,7 @@ class ObservableTerm:
         return dict(self.factors)
 
     @cached_property
-    def _plan(self) -> "_Plan":
+    def _plan(self) -> tuple[tuple, ...]:
         """The term's contraction plan, which depends on no context: built once, replayed per context."""
         return _compile(self)
 
@@ -330,8 +331,11 @@ def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
     return _trace_weight(weight_matrix(ctx, n), n + 1, obs)
 
 
-def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, tuple[complex, complex, complex, complex]]:
-    """The one-vertex channel on the vertex's own spin sector, and its contractions with h.
+_PAIRS = ((0, 0), (0, 3), (1, 2), (2, 1), (3, 0), (3, 3))  # M's charge-conserving child pairs (b, c), in einsum's order
+
+
+def channel_tensor(ctx: EvalContext) -> tuple[tuple, ...]:
+    """The one-vertex channel on the vertex's own spin sector, as the replay reads it.
 
     A = K K L is block-diagonal in its vertex's own sz: the Ising bonds are
     diagonal and the XY bond acts only between the children, so A's entries
@@ -342,18 +346,18 @@ def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, tuple[comp
       M[(p,q),(b,b'),(c,c')] = 1/4 sum_ij A[p,i,j,p,b,c] conj(A[q,i,j,q,b',c'])
 
     is the output entry (p,q) per unit of that root entry, given the flattened
-    2x2 inputs of child 1 and child 2.  g[o] = sum_bc M[o,b,c] h[b] h[c] is
-    the vertex whose subtrees the observable does not touch (its leaf
-    vector).  The spine map, M with the identity on the root and h on child
-    2, maps the value of the one touched child to the value of a factor-free
-    vertex.  Only its rows and columns 0 and 3 (the diagonal entries) are
-    nonzero: the identity has no off-diagonal entry, and M conserves sz
-    charge, (b - b') + (c - c') = 0, so with a diagonal h on child 2 only
-    the touched child's diagonal reaches the output.  S holds those four
-    entries as Python complexes (s00, s03, s30, s33).  The tests check each
-    of these zeros exactly.  A is exactly symmetric under exchanging the
-    children, so S serves a touched child 2 as well.  Built on first use and
-    cached on the context.
+    2x2 inputs of child 1 and child 2.  M conserves sz charge,
+    (b - b') + (c - c') = 0, so it is nonzero only at the six child pairs
+    _PAIRS, where the table keeps it, one row per output entry.
+    g[o] = sum_bc M[o,b,c] h[b] h[c] is the vertex whose subtrees the
+    observable does not touch (its leaf vector).  The spine map, M with the
+    identity on the root and h on child 2, maps the value of the one touched
+    child to the value of a factor-free vertex; by charge conservation only
+    its rows and columns 0 and 3 are nonzero, and S holds those four entries
+    (s00, s03, s30, s33).  The tests check each of these zeros exactly.  A is
+    exactly symmetric under exchanging the children, so S serves a touched
+    child 2 as well.  Returns (M's table, g, S, h, omega0's diagonal), all
+    Python complexes; built on first use and cached on the context.
     """
     if "channel" not in ctx._cache:
         # A as (parent p, children ij, root input a, children's inputs bc); its
@@ -363,9 +367,10 @@ def channel_tensor(ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, tuple[comp
         pq = np.einsum("pib,qic->pqbc", ad, ad.conj()).reshape((2,) * 6)
         m = pq.transpose(0, 1, 2, 4, 3, 5).reshape(4, 4, 4) / 4
         eye, h = PAULI["I"].reshape(4), ctx.h.reshape(4)
-        spine = np.einsum("obc,o,c->ob", m, eye, h)
-        s = spine[[0, 0, 3, 3], [0, 3, 0, 3]].tolist()  # rows and columns 1 and 2 are exactly 0
-        ctx._cache["channel"] = m, np.einsum("obc,b,c->o", m, h, h), tuple(s)
+        spine = np.einsum("obc,o,c->ob", m, eye, h)[[0, 0, 3, 3], [0, 3, 0, 3]]  # rows and columns 1 and 2 are 0
+        b, c = zip(*_PAIRS)
+        tables = np.einsum("obc,b,c->o", m, h, h), spine, h, ctx.omega0.diagonal()
+        ctx._cache["channel"] = (tuple(map(tuple, m[:, b, c].tolist())), *(tuple(t.tolist()) for t in tables))
     return ctx._cache["channel"]
 
 
@@ -395,53 +400,47 @@ _BARE = (_UNTOUCHED, 0)  # an untouched child slot: (subtree id, spine maps)
 _BITS = bytes.maketrans(b"\x01\x02", b"01")  # a site's digits as the binary digits of its index
 
 
-class _Plan(NamedTuple):
-    size: int  # rows of the value table: h, one per op in order, then the leaves
-    leaves: np.ndarray  # the leaves' factors, one flattened row each, last leaf first (a term has one at least)
-    ops: tuple[tuple, ...]  # a chain top (bottom id, k) or an inner vertex (factor row, left id, right id)
-    root: int
-
-
 def _eval_term(ctx: EvalContext, term: ObservableTerm) -> complex:
     """One product term: its plan, built once per term, replayed on this context.
 
-    The replay does only numeric work on a table of subtree values: row 0 is
-    h, the untouched subtree; every leaf of the term is its factor times the
-    leaf vector g, all in one product, into the table's last rows (leaf ids
-    are negative, counted from the end); each op then fills the next row, a
-    chain top with k spine maps on its bottom's two diagonal entries in Python
-    complex arithmetic, an inner vertex with M contracted with the factor's
-    entry at the output and with both children (one einsum on a one-row
-    batch); the root's value is traced against the diagonal omega0.  Each
-    kernel leaves out only terms that are exactly 0 (the channel's terms
-    that would move the factor's entry, S's rows and columns 1 and 2,
-    omega0's off-diagonal), and a term refuses a factor that is not finite,
-    so no 0 * inf is left out either.  Every vertex kind has one kernel
-    wherever it occurs, so a subtree's value depends only on the subtree: a
-    shared subtree carries the very value an unshared, vertex-by-vertex
-    evaluation computes.
+    The replay does only numeric work, in Python complex arithmetic, on a
+    list of subtree values (four entries each): row 0 is h, the untouched
+    subtree, and each op appends the next row.  A leaf is its factor times g,
+    entry by entry; a chain top applies k spine maps to its bottom's two
+    diagonal entries; an inner vertex sums, per output entry o, the six terms
+    ((M[o,b,c] f[o]) l[b]) r[c] at _PAIRS onto 0j, in the order and with the
+    rounding of the einsum "obc,no,nb,nc->no".  The last op, the root, is
+    traced against the diagonal omega0.  Each kernel leaves out only terms
+    that are exactly 0 (M's entries off _PAIRS or off the factor's entry, S's
+    rows and columns 1 and 2, omega0's off-diagonal), and a term refuses a
+    factor that is not finite, so no 0 * inf is left out either.  Every vertex
+    kind has one kernel wherever it occurs, so a shared subtree carries the
+    very value an unshared, vertex-by-vertex evaluation computes.
     """
-    m, g, (s00, s03, s30, s33) = channel_tensor(ctx)
-    plan = term._plan
-    values = np.empty((plan.size, 4), dtype=complex)
-    values[_UNTOUCHED] = ctx.h.reshape(4)
-    values[-len(plan.leaves) :] = plan.leaves * g
-    for n, op in enumerate(plan.ops, 1):
-        if len(op) == 2:
-            bottom, k = op
-            u, _, _, v = values[bottom].tolist()
-            for _ in range(k):
+    m, g, (s00, s03, s30, s33), h, (w0, w3) = channel_tensor(ctx)
+    values = [h]
+    for op in term._plan:
+        if len(op) == 1:  # a leaf (factor,)
+            values.append([f * x for f, x in zip(op[0], g)])
+        elif len(op) == 2:  # a chain top (bottom id, k)
+            u, _, _, v = values[op[0]]
+            for _ in range(op[1]):
                 u, v = s00 * u + s03 * v, s30 * u + s33 * v
-            values[n] = u, 0, 0, v
-        else:
-            row, left, right = op
-            values[n] = np.einsum("obc,no,nb,nc->no", m, row, values[left, None], values[right, None])
-    r0, _, _, r3 = values[plan.root].tolist()
-    w0, _, _, w3 = ctx.omega0.ravel().tolist()
+            values.append((u, 0j, 0j, v))
+        else:  # an inner vertex
+            factor, left, right = op
+            l0, l1, l2, l3 = values[left]
+            r0, r1, r2, r3 = values[right]
+            values.append([
+                0j + w00 * f * l0 * r0 + w03 * f * l0 * r3 + w12 * f * l1 * r2
+                + w21 * f * l2 * r1 + w30 * f * l3 * r0 + w33 * f * l3 * r3
+                for (w00, w03, w12, w21, w30, w33), f in zip(m, factor)
+            ])
+    r0, _, _, r3 = values[-1]
     return (w0 * r0 + w3 * r3) / 2
 
 
-def _compile(term: ObservableTerm) -> _Plan:
+def _compile(term: ObservableTerm) -> tuple[tuple, ...]:
     """The context-free plan of one term: which subtrees to contract, in which order.
 
     One pass over the sites in depth-first order (sorted by digits), each
@@ -458,30 +457,27 @@ def _compile(term: ObservableTerm) -> _Plan:
     any other is interned by (factor bytes, left id, right id), after each
     touched child's chain is interned as a chain top (bottom id, k).  Equal
     subtrees, such as those of a ball projector (one leaf and one inner op
-    per level), are therefore contracted once.  Leaves need no other subtree,
-    so they are contracted together, first; ops come in dependency order.
+    per level), are therefore contracted once.  The plan is the ops in
+    dependency order, op i filling row i: a leaf (factor,), a chain top or an
+    inner vertex (factor, left id, right id), a factor as its four entries.
+    The root contains every other subtree, so it is interned last.
     """
     # One site, or none: its leaf, then one chain up to the root.  The pass
     # below builds the same plan; fresh one-site markers are frequent enough
     # (each solved point checks several) that skipping it pays.
     if len(term.factors) <= 1:
         site, mat = term.factors[0] if term.factors else (ROOT, PAULI["I"])
-        if site.level == 0:
-            return _Plan(2, mat.reshape(1, 4), (), -1)
-        return _Plan(3, mat.reshape(1, 4), ((-1, site.level),), 1)
-    ids: dict[tuple, int] = {}  # interned subtree -> its row: ops from 1 up, leaves from -1 down
-    leaves: list[bytes] = []
+        leaf = (tuple(mat.ravel().tolist()),)
+        return (leaf, (1, site.level)) if site.level else (leaf,)
+    ids: dict[tuple, int] = {}  # interned subtree -> its row of the value table
     ops: list[tuple] = []
 
     def intern(key: tuple) -> int:
         """The id of a chain top (bottom id, k) or a vertex (factor bytes, left id, right id)."""
         if key not in ids:
-            if key[1:] == (_UNTOUCHED, _UNTOUCHED):  # a leaf
-                leaves.append(key[0])
-                ids[key] = -len(leaves)
-            else:
-                ops.append(key if len(key) == 2 else (np.frombuffer(key[0], dtype=complex).reshape(1, 4), *key[1:]))
-                ids[key] = len(ops)
+            op = key if len(key) == 2 else (entries[key[0]], *key[1:])
+            ops.append(op if any(op[1:]) else op[:1])  # a leaf (both children untouched) keeps its factor alone
+            ids[key] = len(ops)
         return ids[key]
 
     def settle(v: int, k: int) -> int:
@@ -501,6 +497,7 @@ def _compile(term: ObservableTerm) -> _Plan:
 
     distinct = {id(m): m for _, m in term.factors}  # a projector's sites share one stored factor
     raw = {i: m.tobytes() for i, m in distinct.items()}
+    entries = {b: tuple(np.frombuffer(b, dtype=complex).tolist()) for b in {*raw.values(), _EYE_BYTES}}
     sites = sorted((bytes(s.digits).translate(_BITS), raw[id(m)]) for s, m in term.factors)
     # the open branch points as (level, label, factor bytes, child slots), under
     # an entry above the root whose one slot receives the root's value
@@ -520,9 +517,8 @@ def _compile(term: ObservableTerm) -> _Plan:
     while len(stack) > 1:
         finish()
     ((v, k),) = stack[0][3].values()
-    root = settle(v, k)
-    leaves = np.frombuffer(b"".join(reversed(leaves)), dtype=complex).reshape(-1, 4)
-    return _Plan(1 + len(ops) + len(leaves), leaves, tuple(ops), root)
+    settle(v, k)  # the root: the last op
+    return tuple(ops)
 
 
 def reduced_weight(ctx: EvalContext, n: int) -> np.ndarray:

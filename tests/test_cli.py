@@ -164,6 +164,30 @@ def test_evaluate_missing_file_exits_2(capsys):
     assert code == 2
 
 
+EVALUATE_PLUS = ["evaluate", "--j0", "1", "--j", "0.5", "--beta", "0.8", "--branch", "plus"]
+
+
+def _one_domain_error(code, out, err):
+    return code == 2 and out == "" and err.startswith("domain error:") and err.count("\n") == 1
+
+
+def test_evaluate_directory_as_observable_exits_2(tmp_path, capsys):
+    assert _one_domain_error(*run_cli(capsys, EVALUATE_PLUS + ["--observable", str(tmp_path)]))
+
+
+def test_evaluate_non_utf8_observable_exits_2(tmp_path, capsys):
+    path = tmp_path / "obs.json"
+    path.write_bytes(b"\xff\xfe\x7b")
+    code, out, err = run_cli(capsys, EVALUATE_PLUS + ["--observable", str(path)])
+    assert _one_domain_error(code, out, err) and "is not JSON" in err
+
+
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.json"
+    code, out, err = run_cli(capsys, ["coeffs", "--j0", "1", "--j", "0", "--beta", "1", "--out", str(target)])
+    assert _one_domain_error(code, out, err) and not target.parent.exists()
+
+
 def test_phase_diagram_csv(capsys):
     argv = [
         "phase-diagram",
@@ -221,6 +245,18 @@ def test_projector_steps_guard_exits_3_before_allocating(capsys, monkeypatch, st
     assert code == 3
     assert out == ""
     assert err.startswith("resource limit:")
+
+
+@pytest.mark.parametrize("level", [cli.MAX_CLUSTER_LEVEL + 1, 10**12])
+def test_cluster_level_guard_exits_3_before_evaluating(capsys, monkeypatch, level):
+    def no_levels(*args, **kwargs):
+        raise AssertionError("the levels were evaluated")
+
+    monkeypatch.setattr(analysis, "clustering_deviations", no_levels)
+    argv = ["cluster", "--j0", "1", "--j", "0.3", "--beta", "1.2", "--max-level", str(level)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:") and f"{cli.MAX_CLUSTER_LEVEL}-level guard" in err
 
 
 def test_cluster_json(capsys):

@@ -175,6 +175,23 @@ def spine_matrix(s):
     return out
 
 
+def _charge(x):
+    """The sz charge b - b' of a flattened 2x2 entry x = 2b + b'."""
+    return (x >> 1) - (x & 1)
+
+
+# the child pairs (b, c) with (b - b') + (c - c') = 0, in einsum's order: the only ones M may use
+CHARGE_PAIRS = [(b, c) for b in range(4) for c in range(4) if _charge(b) + _charge(c) == 0]
+
+
+def channel_matrix(table):
+    """The 4x4x4 channel M of channel_tensor's table: its rows at CHARGE_PAIRS, exact zeros elsewhere."""
+    out = np.zeros((4, 4, 4), dtype=complex)
+    b, c = zip(*CHARGE_PAIRS)
+    out[:, b, c] = table
+    return out
+
+
 def contract_vertex(ctx, root, left, right):
     """One vertex through the reference tensor T."""
     t, _, _ = six_index_channel(ctx)
@@ -184,8 +201,9 @@ def contract_vertex(ctx, root, left, right):
 
 def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disordered, ctx_xy, rng):
     for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
-        m, g, s = channel_tensor(ctx)
-        assert channel_tensor(ctx)[0] is m  # built once per context
+        table, g, s, _, _ = channel_tensor(ctx)
+        assert channel_tensor(ctx)[0] is table  # built once per context
+        m, g = channel_matrix(table), np.array(g)
         for _ in range(5):
             a, b1, b2 = ((rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for _ in range(3))
             want = vertex_channel(ctx.vertex, a, b1, b2)
@@ -210,7 +228,8 @@ def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disorder
 def test_channel_is_exactly_symmetric_in_its_children(j0, j, beta):
     # A is symmetric under exchanging the children, so one spine map serves both sides
     for ctx in _contexts(ModelParams(j0, j, beta)):
-        m, _, s = channel_tensor(ctx)
+        table, _, s, _, _ = channel_tensor(ctx)
+        m = channel_matrix(table)
         assert m.tobytes() == m.transpose(0, 2, 1).tobytes()
         other_side = np.einsum("obc,o,b->oc", m, PAULI["I"].reshape(4), ctx.h.reshape(4))
         assert other_side.tobytes() == spine_matrix(s).tobytes()
@@ -219,15 +238,16 @@ def test_channel_is_exactly_symmetric_in_its_children(j0, j, beta):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.05, 6.0))
 def test_channel_tensor_is_the_six_index_einsum_bit_for_bit(j0, j, beta):
-    # M is T's slice a = o, g is T_h's diagonal and S is T's spine map, bit for bit
+    # M is T's slice a = o at the charge-conserving pairs, g is T_h's diagonal and S is T's spine map, bit for bit
     for ctx in _contexts(ModelParams(j0, j, beta)):
         t, t_h, spine = six_index_channel(ctx)
-        m, g, s = channel_tensor(ctx)
-        o = np.arange(4)
-        assert m.tobytes() == t[o, o].tobytes()
-        assert g.tobytes() == t_h.diagonal().tobytes()
+        table, g, s, h, w = channel_tensor(ctx)
+        o, (b, c) = np.arange(4), zip(*CHARGE_PAIRS)
+        assert np.array(table).tobytes() == t[o, o][:, b, c].tobytes()
+        assert np.array(g).tobytes() == t_h.diagonal().tobytes()
         assert spine_matrix(s).tobytes() == spine.tobytes()
-        assert all(type(x) is complex for x in s)
+        assert np.array(h).tobytes() == ctx.h.tobytes() and np.array(w).tobytes() == ctx.omega0.diagonal().tobytes()
+        assert all(type(x) is complex for x in (*itertools.chain(*table), *g, *s, *h, *w))
 
 
 # --- the structure the engine's kernels rely on, exactly, over sampled (J0, J, beta) ---
@@ -236,6 +256,12 @@ def test_channel_tensor_is_the_six_index_einsum_bit_for_bit(j0, j, beta):
 structure_points = st.tuples(
     st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), st.floats(-2.0, 2.0), st.floats(0.1, 5.0)
 ).map(lambda t: ModelParams(*t))
+# points in the ordered region, where both ordered branches exist
+ordered_points = (
+    st.tuples(st.floats(0.5, 1.5), st.floats(-0.9, 0.9), st.floats(0.3, 2.0))
+    .map(lambda t: ModelParams(t[0], t[0] * t[1], t[2]))
+    .filter(lambda p: delta_theta(p) > 1e-6)
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,9 +275,10 @@ def test_vertex_operator_is_block_diagonal_in_its_own_spin(p):
 @settings(max_examples=60, deadline=None)
 @given(structure_points)
 def test_channel_conserves_sz_charge_exactly(p):
-    # M[(p,q),(b,b'),(c,c')] with (b - b') + (c - c') != 0
+    # M[(p,q),(b,b'),(c,c')] with (b - b') + (c - c') != 0, M being T's slice a = o
     for ctx in _contexts(p):
-        m = channel_tensor(ctx)[0].reshape((2,) * 6)
+        o = np.arange(4)
+        m = six_index_channel(ctx)[0][o, o].reshape((2,) * 6)
         for idx in itertools.product((0, 1), repeat=6):
             _, _, b, b_, c, c_ = idx
             if b - b_ + c - c_ != 0:
@@ -262,8 +289,7 @@ def test_channel_conserves_sz_charge_exactly(p):
 @given(structure_points)
 def test_spine_map_acts_on_the_diagonal_alone(p):
     for ctx in _contexts(p):
-        m = channel_tensor(ctx)[0]
-        spine = np.einsum("obc,o,c->ob", m, PAULI["I"].reshape(4), ctx.h.reshape(4))
+        spine = six_index_channel(ctx)[2]  # channel_tensor's S is its block at rows and columns 0 and 3
         assert not spine[[1, 2], :].any() and not spine[:, [1, 2]].any()
 
 
@@ -395,11 +421,73 @@ def test_plan_replay_is_the_vertex_by_vertex_walk_bit_for_bit(ctx_plus, ctx_minu
         assert eval_recursive(ctx, obs) == unshared_recursive(ctx, obs)
 
 
+# --- exact symmetries of the states, at depth: oracles for the engine that share no code with T ---
+
+symmetry_points = st.one_of(structure_points, ordered_points)  # half of them in the ordered region
+
+SZ_SIGNS = np.array([[1, -1], [-1, 1]])  # sz a sz, entry by entry
+
+
+def _mapped(term, site_map=lambda s: s, factor_map=lambda s, m: m):
+    return ObservableTerm(term.coeff, tuple((site_map(s), factor_map(s, m)) for s, m in term.factors))
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-13 * max(abs(a), abs(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetry_points, st.data())
+def test_reversing_j_is_sz_on_every_second_child_bit_for_bit(p, data):
+    # sz on one child flips the sign of its parent's XY bond; h and omega0 are diagonal, so sz leaves them alone
+    term = _sparse_term(data)
+    flipped = ModelParams(p.j0, -p.j, p.beta)
+    # + 0.0 keeps a zero entry +0, so the identity keeps its bytes (and stays a chain vertex)
+    conj = _mapped(term, factor_map=lambda s, m: m * SZ_SIGNS + 0.0 if s.digits[-1:] == (2,) else m)
+    for ctx in _contexts(p):
+        other = EvalContext.create(flipped, ctx.solution.branch)
+        assert eval_recursive(other, Observable((conj,))) == eval_recursive(ctx, Observable((term,)))
+
+
+FLIPPED_BRANCH = {Branch.ORDERED_PLUS: Branch.ORDERED_MINUS, Branch.ORDERED_MINUS: Branch.ORDERED_PLUS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetry_points, st.data())
+def test_the_global_flip_exchanges_the_ordered_states(p, data):
+    # phi_-(a) = phi_+(sx a sx) on every site; the disordered and xy states are flip-invariant
+    term = _sparse_term(data)
+    flipped = _mapped(term, factor_map=lambda s, m: np.array(m[::-1, ::-1]))
+    for ctx in _contexts(p):
+        branch = ctx.solution.branch
+        other = EvalContext.create(p, FLIPPED_BRANCH.get(branch, branch))
+        assert _close(eval_recursive(other, Observable((term,))), eval_recursive(ctx, Observable((flipped,))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetry_points, st.data())
+def test_swapping_the_subtrees_below_a_vertex_changes_nothing(p, data):
+    # A is symmetric in its children and every boundary is the same h, so the state is too
+    term = _sparse_term(data)
+    site = data.draw(st.sampled_from([s.digits for s, _ in term.factors]), label="site")
+    x = site[: data.draw(st.integers(0, len(site)), label="vertex level")]
+
+    def swap(s):
+        d = s.digits
+        if d[: len(x)] != x or len(d) == len(x):
+            return s
+        return TreeCoord(x + (3 - d[len(x)],) + d[len(x) + 1 :])
+
+    swapped = _mapped(term, site_map=swap)
+    for ctx in _contexts(p):
+        assert _close(eval_recursive(ctx, Observable((swapped,))), eval_recursive(ctx, Observable((term,))))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_a_ball_projector_compiles_to_one_leaf_and_one_inner_op_per_level(n):
     plan = projector_observable(n, "P").terms[0]._plan
-    assert len(plan.leaves) == 1
-    assert len(plan.ops) == n and all(len(op) == 3 for op in plan.ops)  # (factor row, left id, right id)
+    assert len(plan[0]) == 1  # (factor,)
+    assert len(plan) == n + 1 and all(len(op) == 3 for op in plan[1:])  # (factor, left id, right id)
 
 
 def test_a_deep_two_site_term_compiles_and_evaluates_without_recursion(ctx_plus, ctx_minus, ctx_disordered):
@@ -415,7 +503,7 @@ def test_a_deep_two_site_term_compiles_and_evaluates_without_recursion(ctx_plus,
     finally:
         sys.setrecursionlimit(limit)
     # the leaf f, one chain of 4999 spine maps up to the root's child, and the root
-    assert len(plan.leaves) == 1 and plan.ops[0] == (-1, 4999) and plan.ops[1][1:] == (1, 0)
+    assert len(plan) == 3 and len(plan[0]) == 1 and plan[1] == (1, 4999) and plan[2][1:] == (2, 0)
     for ctx, value in zip((ctx_plus, ctx_minus, ctx_disordered), values):
         product = eval_recursive(ctx, Observable.single(ROOT, a)) * eval_recursive(ctx, Observable.single(deep, f))
         assert abs(value - product) < 1e-14
@@ -704,11 +792,6 @@ def test_correlation_degenerate_cases(ctx_plus):
 
 # --- properties over sampled ordered parameters, past the oracle's 15 sites ---
 
-ordered_points = (
-    st.tuples(st.floats(0.5, 1.5), st.floats(-0.9, 0.9), st.floats(0.3, 2.0))
-    .map(lambda t: ModelParams(t[0], t[0] * t[1], t[2]))
-    .filter(lambda p: delta_theta(p) > 1e-6)
-)
 ordered_branches = st.sampled_from([Branch.ORDERED_PLUS, Branch.ORDERED_MINUS])
 
 
