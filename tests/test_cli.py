@@ -73,6 +73,27 @@ def test_engine_stdout_is_the_recorded_bytes(capsys, name):
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+SCAN_7 = ["phase-diagram", "--j-min", "-1.5", "--j-max", "1.5", "--j0-min", "-1.5", "--j0-max", "1.5",
+          "--beta", "0.8", "--resolution", "7"]  # 13 of its 49 rows are Singular
+PROJECTOR_README = ["projector", "--j0", "1", "--j", "0.3", "--n", "3", "--beta-min", "1", "--beta-max", "5",
+                    "--steps", "5"]
+TABLE_GOLDEN = {
+    # each table's header, column order, row keys and cell rendering, in both formats
+    "phase-diagram.csv": SCAN_7,
+    "phase-diagram.json": SCAN_7 + ["--format", "json"],
+    "projector-readme.csv": PROJECTOR_README,
+    "projector-readme.json": PROJECTOR_README + ["--format", "json"],
+    "cluster-plus.csv": ["cluster", "--j0", "1", "--j", "0.3", "--beta", "1.2", "--max-level", "16"],
+}
+
+
+@pytest.mark.parametrize("name", TABLE_GOLDEN)
+def test_table_stdout_is_the_recorded_bytes(capsys, name):
+    code, out, _ = run_cli(capsys, TABLE_GOLDEN[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 def test_solve_ordered_point(capsys):
     code, out, _ = run_cli(capsys, ["solve", "--j0", "1", "--j", "0.5", "--beta", "0.8"])
     assert code == 0
