@@ -50,7 +50,7 @@ from .qmc_state import (
     eval_sparse,
     weight_matrix,
 )
-from .tree import ROOT, TreeCoord, ball_vertices, concat, level_vertices, successors
+from .tree import ROOT, TreeCoord, ball_vertices, concat, level_vertices
 
 __version__ = "0.1.0"
 
@@ -89,7 +89,6 @@ __all__ = [
     "phase_region",
     "solve_branch",
     "solve_ordered",
-    "successors",
     "transfer_coeffs",
     "transfer_coeffs_numeric",
     "vertex_operator",

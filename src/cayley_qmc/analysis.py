@@ -365,9 +365,10 @@ def phase_diagram_scan(
     delta_theta, phase_region and dd_threshold give at its point, and the
     scan fails where the first of them would.
 
-    Refuses a resolution below 2, non-finite bounds, spans or beta, and
-    beta <= 0 (DomainError), and more than MAX_SCAN_POINTS points
-    (ResourceLimitError) before anything is allocated.
+    Refuses a resolution below 2, non-finite bounds, spans or beta,
+    beta <= 0 and a corner that ModelParams refuses (DomainError), and more
+    than MAX_SCAN_POINTS points (ResourceLimitError) before anything is
+    allocated.
     """
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
@@ -381,6 +382,8 @@ def phase_diagram_scan(
         raise DomainError(f"beta must be positive, got {beta}")
     if not (math.isfinite(j_max - j_min) and math.isfinite(j0_max - j0_min)):
         raise DomainError(f"the scan spans overflow a float: J in [{j_min}, {j_max}], J0 in [{j0_min}, {j0_max}]")
+    for j, j0 in itertools.product((j_min, j_max), (j0_min, j0_max)):
+        ModelParams(j0, j, beta)  # its products are monotone in j and j0: a corner is refused if any point is
     js = np.linspace(j_min, j_max, resolution)
     j0s = np.linspace(j0_min, j0_max, resolution)
     delta, names, threshold = phase_region_grid(js, j0s, beta)

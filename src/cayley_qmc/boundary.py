@@ -118,6 +118,8 @@ def delta_theta(p: ModelParams) -> float:
         raise SingularParameterError(f"J = +-J0 is excluded (j={p.j}, j0={p.j0})")
     e4 = math.exp(4 * p.j0 * p.beta)
     den = _denominator(e4, math.exp(2 * p.j0 * p.beta), math.cosh(2 * p.j * p.beta))
+    if not math.isfinite(den):  # e^{2 J0 beta} cosh(2 J beta) overflows where each factor does not
+        raise OverflowError("math range error")
     if abs(den) < SINGULAR_TOL * max(1.0, e4):
         raise SingularParameterError(f"singular parameters: denominator {den:.3e} vanishes near J = +-J0")
     return (den - 4) / den
@@ -127,10 +129,16 @@ def dd_threshold(j: float, beta: float) -> float:
     """Coupling threshold of the inner region |J| < J0.
 
     Derived from theta^{J0} > cosh(2J beta) + sqrt(cosh^2(2J beta) + 3); the
-    J = 0 boundary theta^{J0} = 3 pins the cosh form.
+    J = 0 boundary theta^{J0} = 3 pins the cosh form.  Raises OverflowError,
+    as math.cosh does, where the threshold overflows a float.
     """
     c = math.cosh(2 * j * beta)
-    return math.log(c + math.sqrt(c * c + 3)) / (2 * beta)
+    # from 1e150 on c * c would overflow, and c + sqrt(c * c + 3) is 2c to double precision
+    log_root = math.log(c + math.sqrt(c * c + 3)) if c < 1e150 else math.log(c) + math.log(2)
+    threshold = log_root / (2 * beta)
+    if threshold == math.inf:  # beta below about 1e-308
+        raise OverflowError("math range error")
+    return threshold
 
 
 def phase_region(p: ModelParams) -> PhaseRegion:
@@ -190,8 +198,8 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
         transition = delta > 0
         expected = _expects_transition(j, j0, threshold[:, None])
         mismatch = (np.abs(delta) > REGION_GUARD) & (expected != transition)
-    # delta_theta never forms e^{4 J0 beta} at an excluded point
-    overflow = threshold_overflow[:, None] | (e4_overflow & ~excluded)
+    # delta_theta never forms e^{4 J0 beta} or den at an excluded point
+    overflow = threshold_overflow[:, None] | ((e4_overflow | ~np.isfinite(den)) & ~excluded)
     failed = np.flatnonzero(overflow | mismatch)
     if failed.size:
         a, b = divmod(int(failed[0]), len(j0s))

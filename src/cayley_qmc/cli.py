@@ -2,8 +2,10 @@
 
 Every run is a pure function of its flags; numeric output is rendered with 17
 significant digits so repeated invocations are byte-identical.  Exit codes:
-0 success, 2 domain error (singular or invalid parameters), 3 resource-guard
-refusal, 64 usage error.
+0 success, 2 domain error (singular or invalid parameters, such as finite
+j0, j and beta whose product 4*j0*beta or 2*j*beta overflows a float),
+3 resource-guard refusal, 64 usage error.  Every subcommand returns one
+document, which main writes to stdout or --out.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import json
 import math
 import re
 import sys
-from typing import Sequence
+from dataclasses import asdict
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -91,10 +94,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _add_params(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--j0", type=float, required=True, help="Ising coupling")
-    sub.add_argument("--j", type=float, required=True, help="XY coupling")
-    sub.add_argument("--beta", type=float, required=True, help="inverse temperature (> 0)")
+def _required(flag: str, help: str | None = None, type=float) -> tuple[str, dict]:
+    return flag, {"type": type, "required": True, "help": help}
+
+
+_PARAMS = (_required("--j0", "Ising coupling"), _required("--j", "XY coupling"),
+           _required("--beta", "inverse temperature (> 0)"))
+_FORMAT = ("--format", {"choices": ["csv", "json"], "default": "csv"})  # the three tables only
+# Each subcommand's help and its arguments in --help order; every subcommand takes --out last.
+_SUBCOMMANDS = {
+    "coeffs": ("bond / vertex / transfer coefficients as JSON", _PARAMS),
+    "solve": ("solve the boundary equations and classify the region", _PARAMS),
+    "evaluate": ("evaluate an observable file on a solved branch", (
+        *_PARAMS,
+        ("--observable", {"required": True, "help": "observable JSON path"}),
+        ("--branch", {"required": True, "choices": [b.value for b in Branch]}),
+    )),
+    "phase-diagram": ("Delta sign over a (J, J0) grid", (
+        *map(_required, ("--j-min", "--j-max", "--j0-min", "--j0-max", "--beta")),
+        _required("--resolution", type=int),
+        _FORMAT,
+    )),
+    "projector": ("aligned projector expectation along a beta grid", (
+        _required("--j0"),
+        _required("--j"),
+        _required("--n", "ball depth of the projector", int),
+        *map(_required, ("--beta-min", "--beta-max")),
+        _required("--steps", type=int),
+        _FORMAT,
+    )),
+    "cluster": ("correlation decay toward the product value", (
+        *_PARAMS,
+        ("--branch", {"choices": [Branch.ORDERED_PLUS.value, Branch.ORDERED_MINUS.value], "default": "plus"}),
+        ("--max-level", {"type": int, "default": 8}),
+        _FORMAT,
+    )),
+    "verify": ("run the acceptance-criteria suite", ()),
+}
 
 
 @functools.cache
@@ -107,51 +143,23 @@ def build_parser() -> argparse.ArgumentParser:
     """
     parser = _Parser(prog="cayley-qmc", description="Boundary fixed points and state evaluation on the order-2 tree")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("coeffs", help="bond / vertex / transfer coefficients as JSON")
-    _add_params(p)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("solve", help="solve the boundary equations and classify the region")
-    _add_params(p)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("evaluate", help="evaluate an observable file on a solved branch")
-    _add_params(p)
-    p.add_argument("--observable", required=True, help="observable JSON path")
-    p.add_argument("--branch", required=True, choices=[b.value for b in Branch])
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("phase-diagram", help="Delta sign over a (J, J0) grid")
-    p.add_argument("--j-min", type=float, required=True)
-    p.add_argument("--j-max", type=float, required=True)
-    p.add_argument("--j0-min", type=float, required=True)
-    p.add_argument("--j0-max", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("projector", help="aligned projector expectation along a beta grid")
-    p.add_argument("--j0", type=float, required=True)
-    p.add_argument("--j", type=float, required=True)
-    p.add_argument("--n", type=int, required=True, help="ball depth of the projector")
-    p.add_argument("--beta-min", type=float, required=True)
-    p.add_argument("--beta-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("cluster", help="correlation decay toward the product value")
-    _add_params(p)
-    p.add_argument("--branch", choices=[Branch.ORDERED_PLUS.value, Branch.ORDERED_MINUS.value], default="plus")
-    p.add_argument("--max-level", type=int, default=8)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("verify", help="run the acceptance-criteria suite")
-    p.add_argument("--out", default=None)
+    for name, (summary, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--out", default=None)
     return parser
+
+
+def _table(args, header: Sequence[str], rows: Iterable[Mapping], **doc) -> str | dict:
+    """A table: `header` names the CSV columns and, in the same order, each JSON row's keys.
+
+    The JSON document is `doc` with the rows appended under "rows".
+    """
+    rows = [[row[key] for key in header] for row in rows]
+    if args.format == "csv":
+        return render_csv(header, rows)
+    return {**doc, "rows": [dict(zip(header, row)) for row in rows]}
 
 
 def _branch_doc(sol: BoundarySolution) -> dict:
@@ -166,31 +174,16 @@ def _branch_doc(sol: BoundarySolution) -> dict:
     }
 
 
-def _cmd_coeffs(args) -> str:
+def _cmd_coeffs(args) -> tuple[dict, int]:
     params = ModelParams(args.j0, args.j, args.beta)
-    c = operator_coeffs(params)
-    t = transfer_coeffs(params)
-    doc = {
-        "j0": args.j0,
-        "j": args.j,
-        "beta": args.beta,
-        "k0": c.k0,
-        "k3": c.k3,
-        "gamma1": c.gamma1,
-        "gamma2": c.gamma2,
-        "gamma3": c.gamma3,
-        "delta1": c.delta1,
-        "c1": t.c1,
-        "c2": t.c2,
-        "c3": t.c3,
-    }
+    doc = {"j0": args.j0, "j": args.j, "beta": args.beta,
+           **asdict(operator_coeffs(params)), **asdict(transfer_coeffs(params))}
     if args.j0 == 0:
-        r = xy_only_coeffs(params)
-        doc.update({"r1": r.r1, "r2": r.r2, "r3": r.r3})
-    return render_json(doc) + "\n"
+        doc.update(asdict(xy_only_coeffs(params)))
+    return doc, 0
 
 
-def _cmd_solve(args) -> str:
+def _cmd_solve(args) -> tuple[dict, int]:
     params = ModelParams(args.j0, args.j, args.beta)
     if params.j0 == 0:
         # Delta > 0 does not signal a transition here: with no Ising part the
@@ -200,20 +193,8 @@ def _cmd_solve(args) -> str:
         except SingularParameterError:
             delta = None
         sol = solve_branch(params, Branch.XY_ONLY)
-        rep = xy_alpha_report(params)
-        return render_json(
-            {
-                "delta": delta,
-                "classification": "Unique",
-                "branches": [_branch_doc(sol)],
-                "alpha_check": {
-                    "oracle_inverse_alpha": rep.oracle_inverse_alpha,
-                    "displayed_inverse_alpha": rep.displayed_inverse_alpha,
-                    "abs_gap": rep.abs_gap,
-                    "matches": rep.matches,
-                },
-            }
-        ) + "\n"
+        return {"delta": delta, "classification": "Unique", "branches": [_branch_doc(sol)],
+                "alpha_check": asdict(xy_alpha_report(params))}, 0
     region = phase_region(params)
     branches = [_branch_doc(solve_branch(params, Branch.DISORDERED))]
     note = None
@@ -226,10 +207,10 @@ def _cmd_solve(args) -> str:
     doc = {"delta": region.delta, "classification": region.classification.value, "branches": branches}
     if note is not None:
         doc["ordered_note"] = note
-    return render_json(doc) + "\n"
+    return doc, 0
 
 
-def _cmd_evaluate(args) -> str:
+def _cmd_evaluate(args) -> tuple[dict, int]:
     params = ModelParams(args.j0, args.j, args.beta)
     with open(args.observable, encoding="utf-8") as fh:
         try:
@@ -237,87 +218,42 @@ def _cmd_evaluate(args) -> str:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DomainError(f"observable file {args.observable} is not JSON: {exc}") from None
     obs = Observable.from_json_dict(doc)
-    ctx = EvalContext.create(params, Branch(args.branch))
-    value = eval_recursive(ctx, obs)
-    return render_json(
-        {"j0": args.j0, "j": args.j, "beta": args.beta, "branch": args.branch, "value": value}
-    ) + "\n"
+    value = eval_recursive(EvalContext.create(params, Branch(args.branch)), obs)
+    return {"j0": args.j0, "j": args.j, "beta": args.beta, "branch": args.branch, "value": value}, 0
 
 
-def _cmd_phase_diagram(args) -> str:
+def _cmd_phase_diagram(args) -> tuple[str | dict, int]:
     rows = analysis.phase_diagram_scan(
         args.j_min, args.j_max, args.j0_min, args.j0_max, args.beta, args.resolution
     )
-    if args.format == "json":
-        return render_json(
-            {
-                "beta": args.beta,
-                "rows": [
-                    {
-                        "j": r.j,
-                        "j0": r.j0,
-                        "delta": r.delta,
-                        "classification": r.classification,
-                        "threshold": r.threshold,
-                    }
-                    for r in rows
-                ],
-            }
-        ) + "\n"
-    return render_csv(
-        ["j", "j0", "delta", "classification", "threshold"],
-        [(r.j, r.j0, r.delta, r.classification, r.threshold) for r in rows],
-    )
+    return _table(args, analysis.PhasePoint._fields, map(analysis.PhasePoint._asdict, rows), beta=args.beta), 0
 
 
-def _cmd_projector(args) -> str:
+def _cmd_projector(args) -> tuple[str | dict, int]:
     if args.steps < 1:
         raise DomainError(f"steps must be >= 1, got {args.steps}")
     if args.steps > analysis.MAX_SCAN_POINTS:
         raise ResourceLimitError(f"{args.steps} steps exceed the {analysis.MAX_SCAN_POINTS}-point guard")
     betas = [float(b) for b in np.linspace(args.beta_min, args.beta_max, args.steps)]
     rows = analysis.projector_limit_scan(args.j0, args.j, args.n, betas)
-    if args.format == "json":
-        return render_json({"j0": args.j0, "j": args.j, "n": args.n, "rows": rows}) + "\n"
-    return render_csv(
-        ["beta", "phi1_pn", "phi1_qn", "dev_from_one"],
-        [(r["beta"], r["phi1_pn"], r["phi1_qn"], r["dev_from_one"]) for r in rows],
-    )
+    header = ("beta", "phi1_pn", "phi1_qn", "dev_from_one")
+    return _table(args, header, rows, j0=args.j0, j=args.j, n=args.n), 0
 
 
-def _cmd_cluster(args) -> str:
+def _cmd_cluster(args) -> tuple[str | dict, int]:
     if args.max_level < 4:
         raise DomainError(f"--max-level must be >= 4 to fit a ratio, got {args.max_level}")
     if args.max_level > MAX_CLUSTER_LEVEL:
         raise ResourceLimitError(f"--max-level {args.max_level} exceeds the {MAX_CLUSTER_LEVEL}-level guard")
     params = ModelParams(args.j0, args.j, args.beta)
-    branch = Branch(args.branch)
-    ctx = EvalContext.create(params, branch)
+    ctx = EvalContext.create(params, Branch(args.branch))
     obs = Observable.single(ROOT, analysis.E11)
     rows = analysis.clustering_deviations(ctx, obs, obs, list(range(3, args.max_level + 1)))
     fitted = analysis.fitted_decay_ratio(rows)
-    lam_abs = abs(analysis.lam(params))
-    if args.format == "json":
-        rep = analysis.clustering_limit_report(ctx, analysis.E11)
-        return render_json(
-            {
-                "branch": args.branch,
-                "lambda_abs": lam_abs,
-                "fitted_ratio": fitted,
-                "limit_check": {
-                    "numeric": rep.numeric,
-                    "structural": rep.structural,
-                    "displayed": rep.displayed,
-                    "structural_dev": rep.structural_dev,
-                    "displayed_dev": rep.displayed_dev,
-                },
-                "rows": rows,
-            }
-        ) + "\n"
-    return render_csv(
-        ["level", "deviation", "ratio"],
-        [(r["level"], r["deviation"], r["ratio"]) for r in rows],
-    )
+    # the limit check evaluates one more deep marker, so only the JSON document, which prints it, pays for it
+    limit_check = asdict(analysis.clustering_limit_report(ctx, analysis.E11)) if args.format == "json" else None
+    return _table(args, ("level", "deviation", "ratio"), rows, branch=args.branch,
+                  lambda_abs=abs(analysis.lam(params)), fitted_ratio=fitted, limit_check=limit_check), 0
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -329,6 +265,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if passed == len(results) else 1
 
 
+# Each returns its document (a JSON object, or text as printed) and the exit status.
 _COMMANDS = {
     "coeffs": _cmd_coeffs,
     "solve": _cmd_solve,
@@ -336,36 +273,27 @@ _COMMANDS = {
     "phase-diagram": _cmd_phase_diagram,
     "projector": _cmd_projector,
     "cluster": _cmd_cluster,
+    "verify": _cmd_verify,
 }
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        if args.command == "verify":
-            text, status = _cmd_verify(args)
+        doc, status = _COMMANDS[args.command](args)
+        text = doc if isinstance(doc, str) else render_json(doc) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         else:
-            text, status = _COMMANDS[args.command](args), 0
-        _emit(text, args.out)
+            sys.stdout.write(text)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return RESOURCE_EXIT
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return DOMAIN_EXIT
-    except OSError as exc:  # an observable or --out path that cannot be read or written
+    except (DomainError, OSError) as exc:  # OSError: an observable or --out path that cannot be read or written
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
     except OverflowError as exc:

@@ -7,6 +7,8 @@ order of `tree.ball_vertices` (first site = leftmost factor).
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -14,6 +16,7 @@ import numpy as np
 from .errors import DomainError
 
 HERMITICITY_TOL = 1e-12
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp is a finite double
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -54,8 +57,13 @@ def _require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarra
 
 
 def herm_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Hermitian matrix via unitary eigendecomposition."""
+    """Matrix exponential of a Hermitian matrix via unitary eigendecomposition.
+
+    An eigenvalue whose exponential overflows a float raises OverflowError, as math.exp does.
+    """
     a = _require_hermitian(a)
     w, v = np.linalg.eigh(a)
+    if w.size and w[-1] > _LOG_MAX:  # eigh sorts w ascending
+        raise OverflowError("math range error")
     out = (v * np.exp(w)) @ dagger(v)
     return (out + dagger(out)) / 2

@@ -38,7 +38,7 @@ def pauli(axis: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Finite couplings and inverse temperature: Ising j0, XY j, beta > 0."""
+    """Finite couplings and inverse temperature: Ising j0, XY j, beta > 0, with 4*j0*beta and 2*j*beta finite."""
 
     j0: float
     j: float
@@ -50,6 +50,10 @@ class ModelParams:
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.beta > 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
+        # every closed form and bond exponentiates these two products
+        for name, product in (("4*j0*beta", 4 * self.j0 * self.beta), ("2*j*beta", 2 * self.j * self.beta)):
+            if not math.isfinite(product):
+                raise DomainError(f"{name} = {product} overflows a float (j0={self.j0}, j={self.j}, beta={self.beta})")
 
 
 @dataclass(frozen=True)
@@ -181,9 +185,14 @@ def vertex_channel(a_vertex: np.ndarray, root: np.ndarray, left: np.ndarray, rig
 
 
 def transfer_coeffs(p: ModelParams) -> TransferCoeffs:
-    """Closed-form diagonal transfer coefficients (C1, C2, C3)."""
+    """Closed-form diagonal transfer coefficients (C1, C2, C3).
+
+    Raises OverflowError, as math.exp does, where a coefficient overflows a float.
+    """
     e4 = math.exp(4 * p.j0 * p.beta)
     f = math.exp(2 * p.j0 * p.beta) * math.cosh(2 * p.j * p.beta)
+    if f == math.inf:  # each factor is finite, their product is not
+        raise OverflowError("math range error")
     return TransferCoeffs(c1=(e4 + 1) / 4 + f / 2, c2=(e4 + 1) / 4 - f / 2, c3=(e4 - 1) / 2)
 
 
@@ -201,17 +210,21 @@ def transfer_coeffs_numeric(p: ModelParams) -> TransferCoeffs:
 
     Probes Phi(h) = Tr_parent(A (1 x h x h) A*) at h = 1 and h = 1 + sz and
     solves Phi(1) = C1*1, Phi(1 + sz) = (C1 + C2)*1 + C3*sz.  Uses the product
-    vertex operator, never the closed form.
+    vertex operator, never the closed form.  A channel that overflows a float
+    raises OverflowError, as math.exp does.
     """
     a = vertex_operator(p)
     eye = PAULI["I"]
-    phi_eye = vertex_channel(a, eye, eye, eye)
+    probe = eye + PAULI["Z"]
+    with np.errstate(over="ignore", invalid="ignore"):  # A A* reaches 4 C1 and overflows before C1 does
+        phi_eye = vertex_channel(a, eye, eye, eye)
+        phi_probe = vertex_channel(a, eye, probe, probe)
+    if not (np.isfinite(phi_eye).all() and np.isfinite(phi_probe).all()):
+        raise OverflowError("math range error")
     d0, d1 = _extract_diagonal(phi_eye, "Phi(1)")
     if abs(d0 - d1) > EXTRACTION_TOL * max(1.0, abs(d0)):
         raise ModelInconsistencyError(f"Phi(1) is not a multiple of the identity: diag ({d0!r}, {d1!r})")
     c1 = (d0 + d1) / 2
-    probe = eye + PAULI["Z"]
-    phi_probe = vertex_channel(a, eye, probe, probe)
     e0, e1 = _extract_diagonal(phi_probe, "Phi(1+sz)")
     c2 = (e0 + e1) / 2 - c1
     c3 = (e0 - e1) / 2

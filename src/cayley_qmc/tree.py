@@ -36,14 +36,6 @@ class TreeCoord:
     def level(self) -> int:
         return len(self.digits)
 
-    @property
-    def index(self) -> int:
-        """The vertex's position within its level: its digits minus one, read in binary."""
-        index = 0
-        for d in self.digits:
-            index = 2 * index + d - 1
-        return index
-
     def __repr__(self) -> str:
         return f"TreeCoord({list(self.digits)})"
 
@@ -76,11 +68,6 @@ def ball_vertices(n: int) -> list[TreeCoord]:
     for m in range(n + 1):
         out.extend(level_vertices(m))
     return out
-
-
-def successors(x: TreeCoord) -> list[TreeCoord]:
-    """The two direct successors ((x,1), (x,2)) in order."""
-    return [_derived(x.digits + (1,)), _derived(x.digits + (2,))]
 
 
 def concat(x: TreeCoord, y: TreeCoord) -> TreeCoord:

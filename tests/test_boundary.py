@@ -84,6 +84,17 @@ def test_threshold_matches_delta_sign_on_a_grid():
             assert (delta_theta(p) > 0) == (j0 > t)
 
 
+@pytest.mark.parametrize("x", [340.0, 346.0, 347.0, 400.0, 700.0])
+def test_threshold_stays_finite_where_cosh_squared_overflows(x):
+    # log(c + sqrt(c^2 + 3)) = x + log(1 + e^{-2x}) for c = cosh(x): the threshold is x / (2 beta) here
+    assert dd_threshold(x / 2, 1.0) == pytest.approx(x / 2, rel=1e-15)
+
+
+def test_threshold_beyond_a_float_raises_overflow():
+    with pytest.raises(OverflowError):
+        dd_threshold(1.0, 5e-324)  # log(3) / 1e-323
+
+
 def test_solve_disordered_trivial():
     sol = solve_branch(ModelParams(0.0, 0.0, 1.0), Branch.DISORDERED)
     assert np.allclose(sol.h, np.eye(2))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_qmc import acceptance, analysis, cli
 from cayley_qmc.analysis import marker_expectation_closed
@@ -355,6 +359,59 @@ def test_non_finite_parameters_exit_2(capsys, argv):
     assert err.startswith("domain error:")
 
 
+OVERFLOWING = ["--j0", "1e300", "--j", "1e-300", "--beta", "1e300"]  # 4*j0*beta = inf, each factor finite
+
+
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        (["coeffs", *OVERFLOWING], "4*j0*beta = inf"),
+        (["coeffs", "--j0", "-1e300", "--j", "1e-300", "--beta", "1e300"], "4*j0*beta = -inf"),
+        (["solve", *OVERFLOWING], "4*j0*beta = inf"),
+        (["cluster", *OVERFLOWING], "4*j0*beta = inf"),
+        (["evaluate", "--observable", str(GOLDEN / "readme-obs.json"), "--branch", "plus", *OVERFLOWING],
+         "4*j0*beta = inf"),
+        (["evaluate", "--observable", str(GOLDEN / "readme-obs.json"), "--branch", "disordered", *OVERFLOWING],
+         "4*j0*beta = inf"),
+        (["solve", "--j0", "-1e300", "--j", "-2.2250738585072014e-308", "--beta", "1e300"],
+         "4*j0*beta = -inf"),
+        (["coeffs", "--j0", "1", "--j", "1e308", "--beta", "10"], "2*j*beta = inf"),
+        # every scan bound is finite, but 2*j*beta is not at the J corners
+        (["phase-diagram", "--j-min", "-1e300", "--j-max", "1e300", "--j0-min", "0", "--j0-max", "0",
+          "--beta", "1e10", "--resolution", "3"], "2*j*beta = -inf"),
+    ],
+)
+def test_an_overflowing_coupling_product_exits_2(capsys, argv, named):
+    code, out, err = run_cli(capsys, argv)
+    assert _one_domain_error(code, out, err) and named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each of 4*j0*beta and 2*j*beta is finite; a product of their exponentials is not
+        ["solve", "--j0", "0.4", "--j", "0.8", "--beta", "400"],
+        ["coeffs", "--j0", "0.4", "--j", "0.8", "--beta", "400"],
+        ["evaluate", "--observable", str(GOLDEN / "readme-obs.json"), "--branch", "disordered",
+         "--j0", "0.4", "--j", "0.8", "--beta", "400"],
+        # the xy branch's numeric Phi(1) overflows a little before the closed-form C1 does
+        ["solve", "--j0", "0", "--j", "2", "--beta", "177.5"],
+        ["evaluate", "--observable", str(GOLDEN / "readme-obs.json"), "--branch", "xy",
+         "--j0", "0", "--j", "2", "--beta", "177.5"],
+        ["evaluate", "--observable", str(GOLDEN / "readme-obs.json"), "--branch", "xy",
+         "--j0", "0", "--j", "1e300", "--beta", "1"],  # exp(j beta) itself overflows
+        # the threshold log(3) / (2 beta) overflows
+        ["phase-diagram", "--j-min", "-1", "--j-max", "1", "--j0-min", "0.5", "--j0-max", "2",
+         "--beta", "5e-324", "--resolution", "3", "--format", "json"],
+    ],
+)
+def test_an_overflowing_exponential_exits_2_without_a_warning(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv)
+    assert _one_domain_error(code, out, err) and "overflow" in err and not caught
+
+
 NAN_FACTOR = '{"terms": [{"factors": [{"site": [1], "matrix": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}]}]}'
 
 
@@ -544,3 +601,83 @@ def test_main_is_reentrant_on_the_cached_parser(capsys):
     for argv, result in zip(calls, shared):
         cli.build_parser.cache_clear()  # a parser of its own, as in a separate run
         assert run_cli(capsys, argv) == result
+
+
+EDGE_FLOATS = [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+contract_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),  # subnormals included
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 400.0),  # low temperature
+    st.integers(-3, 3).map(float),  # on the lines J = +-J0 and J0 = 0
+)
+# one float as the command line spells it: repr (exponent form when large or small), %e, or 17 digits
+contract_numbers = st.builds(lambda x, spell: spell(x), contract_floats,
+                             st.sampled_from([repr, lambda x: format(x, "e"), lambda x: format(x, ".17g")]))
+
+
+@st.composite
+def contract_argv(draw):
+    def number():
+        return draw(contract_numbers)
+
+    def small(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    command = draw(st.sampled_from(["coeffs", "solve", "evaluate", "phase-diagram", "projector", "cluster"]))
+    if command == "phase-diagram":
+        argv = [command, "--j-min", number(), "--j-max", number(), "--j0-min", number(), "--j0-max", number(),
+                "--beta", number(), "--resolution", small(1, 4)]
+    elif command == "projector":
+        argv = [command, "--j0", number(), "--j", number(), "--n", small(0, 4), "--beta-min", number(),
+                "--beta-max", number(), "--steps", small(0, 3)]
+    else:
+        argv = [command, "--j0", number(), "--j", number(), "--beta", number()]
+    if command == "evaluate":
+        argv += ["--observable", str(GOLDEN / "readme-obs.json"),
+                 "--branch", draw(st.sampled_from([b.value for b in Branch]))]
+    if command == "cluster":
+        argv += ["--branch", draw(st.sampled_from(["plus", "minus"])), "--max-level", small(3, 6)]
+    if command in ("phase-diagram", "projector", "cluster"):
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return argv
+
+
+def _unexpected_nulls(command, doc, j0):
+    """Paths of the null fields of an exit-0 document that are not null by design."""
+    found = []
+
+    def walk(node, path, row):
+        if isinstance(node, list):
+            for i, item in enumerate(node):
+                walk(item, path + [i], i if path[-1:] == ["rows"] else row)
+        elif isinstance(node, dict):
+            for key, value in node.items():
+                if value is not None:
+                    walk(value, path + [key], row)
+                elif not (key in ("xi0", "xi3", "alpha")  # a branch leaves the other branches' constants out
+                          or (key == "delta" and (node.get("classification") == "Singular"
+                                                  or (command == "solve" and j0 == 0)))
+                          or (key == "ratio" and row == 0)):  # the first level has no predecessor
+                    found.append(path + [key])
+
+    walk(doc, [], None)
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(contract_argv())
+def test_every_command_keeps_the_exit_code_contract(argv):
+    # exit 0, 2, 3 or 64; a refusal prints nothing to stdout; nothing escapes main; no silent null
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 64), (argv, code, err.getvalue())
+    if code != 0:
+        assert out.getvalue() == "", argv
+        return
+    if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+        doc = json.loads(out.getvalue())
+        assert _unexpected_nulls(argv[0], doc, float(argv[2])) == [], argv

@@ -45,6 +45,22 @@ def test_params_validation():
         ModelParams(1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    ("j0", "j", "beta", "named"),
+    [
+        (1e300, 1e-300, 1e300, "4*j0*beta = inf"),
+        (-1e300, 1e-300, 1e300, "4*j0*beta = -inf"),
+        (-1e300, -2.2250738585072014e-308, 1e300, "4*j0*beta = -inf"),
+        (0.5, 1e308, 10.0, "2*j*beta = inf"),
+        (0.0, -1e155, 1e155, "2*j*beta = -inf"),
+    ],
+)
+def test_params_refuse_a_product_that_overflows(j0, j, beta, named):
+    # each factor is finite; the products every bond and closed form exponentiate are not
+    with pytest.raises(DomainError, match=named.replace("*", r"\*")):
+        ModelParams(j0, j, beta)
+
+
 def test_coeff_identities():
     for p in SMALL_GRID:
         c = operator_coeffs(p)

@@ -773,6 +773,23 @@ def test_compatibility_solved_and_corrupted(ctx_plus):
     assert compatibility_residual(bad, 1, 3) > 0.01
 
 
+@pytest.mark.parametrize("branch", [Branch.ORDERED_PLUS, Branch.DISORDERED])
+def test_the_root_weighs_each_omega0_entry_as_the_oracle_does(branch):
+    # every solved omega0 is a multiple of the identity, so only a hand-made one tells its two entries apart
+    p = ModelParams(1.0, 0.5, 0.8)
+    solved = solve_branch(p, branch)
+    uneven = BoundarySolution(branch=branch, h=solved.h, omega0=np.diag([0.4, 1.6]).astype(complex),
+                              residual=solved.residual)
+    ctx = EvalContext(params=p, solution=uneven)
+    rng = np.random.default_rng(26)
+    for n in (0, 1, 2):
+        ball = ball_vertices(n)
+        for _ in range(6):
+            sites = [x for x in ball if rng.random() < 0.6] or [ROOT]
+            obs = random_product_observable(rng, sites)
+            assert abs(eval_recursive(ctx, obs) - eval_sparse(ctx, obs, 2)) < 1e-12
+
+
 def test_trivial_product_state_compatibility():
     ctx = EvalContext.create(ModelParams(0.0, 0.0, 1.0), Branch.XY_ONLY)
     assert compatibility_residual(ctx, 0, 3) < 1e-14

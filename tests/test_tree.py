@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cayley_qmc.errors import DomainError
-from cayley_qmc.tree import ROOT, TreeCoord, ball_vertices, concat, level_vertices, successors
+from cayley_qmc.tree import ROOT, TreeCoord, ball_vertices, concat, level_vertices
 
 coords = st.builds(TreeCoord, st.lists(st.integers(1, 2), max_size=6).map(tuple))
 
@@ -41,11 +41,6 @@ def test_ball_sizes(n, k, size):
     assert keys == sorted(keys)
 
 
-def test_successor_examples():
-    assert [c.digits for c in successors(ROOT)] == [(1,), (2,)]
-    assert [c.digits for c in successors(TreeCoord((1, 2)))] == [(1, 2, 1), (1, 2, 2)]
-
-
 def test_concat_examples():
     assert concat(TreeCoord((1,)), TreeCoord((2, 1))).digits == (1, 2, 1)
     assert concat(ROOT, TreeCoord((2, 2))).digits == (2, 2)
@@ -53,8 +48,10 @@ def test_concat_examples():
 
 
 def test_derived_vertices_equal_checked_ones():
-    # level_vertices, successors and concat skip the digit check on digits they derive from valid ones
-    derived = ball_vertices(3) + successors(TreeCoord((2, 1))) + [concat(TreeCoord((1,)), TreeCoord((2, 2)))]
+    # level_vertices and concat skip the digit check on digits they derive from valid ones
+    derived = ball_vertices(3) + [concat(TreeCoord((2, 1)), TreeCoord((d,))) for d in (1, 2)] + [
+        concat(TreeCoord((1,)), TreeCoord((2, 2)))
+    ]
     lookup = {TreeCoord(list(x.digits)): x for x in derived}
     for x in derived:
         assert lookup[x] == x and hash(x) == hash(TreeCoord(x.digits)) and repr(x) == repr(TreeCoord(x.digits))
@@ -85,16 +82,3 @@ def test_root_is_two_sided_identity(x):
 def test_translate_adds_levels(g, x):
     # the translation by g is left concatenation
     assert concat(g, x).level == g.level + x.level
-
-
-@given(coords)
-def test_successors_are_single_digit_concats(x):
-    succ = successors(x)
-    assert succ == [concat(x, TreeCoord((1,))), concat(x, TreeCoord((2,)))]
-    assert all(s.level == x.level + 1 for s in succ)
-    assert [s.index for s in succ] == [2 * x.index, 2 * x.index + 1]
-
-
-def test_index_is_the_position_within_the_level():
-    for n in (0, 1, 3):
-        assert [v.index for v in level_vertices(n)] == list(range(2**n))
