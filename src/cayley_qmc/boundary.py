@@ -26,6 +26,7 @@ from .errors import (
     ModelInconsistencyError,
     SingularParameterError,
     SolutionNotPositiveError,
+    ThresholdOverflowError,
 )
 from .linalg import normalized_trace
 from .model_ops import (
@@ -130,14 +131,18 @@ def dd_threshold(j: float, beta: float) -> float:
 
     Derived from theta^{J0} > cosh(2J beta) + sqrt(cosh^2(2J beta) + 3); the
     J = 0 boundary theta^{J0} = 3 pins the cosh form.  Raises OverflowError,
-    as math.cosh does, where the threshold overflows a float.
+    as math.cosh does, where cosh(2J beta) overflows a float, and
+    ThresholdOverflowError, which names J and beta, where the threshold does.
     """
     c = math.cosh(2 * j * beta)
     # from 1e150 on c * c would overflow, and c + sqrt(c * c + 3) is 2c to double precision
     log_root = math.log(c + math.sqrt(c * c + 3)) if c < 1e150 else math.log(c) + math.log(2)
     threshold = log_root / (2 * beta)
     if threshold == math.inf:  # beta below about 1e-308
-        raise OverflowError("math range error")
+        raise ThresholdOverflowError(
+            f"the region threshold log(c + sqrt(c^2 + 3)) / (2 beta), c = cosh(2 J beta), "
+            f"overflows a float at J = {j!r}, beta = {beta!r}"
+        )
     return threshold
 
 
@@ -203,6 +208,8 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
     failed = np.flatnonzero(overflow | mismatch)
     if failed.size:
         a, b = divmod(int(failed[0]), len(j0s))
+        if threshold_overflow[a]:
+            dd_threshold(float(js[a]), beta)  # raises its own error, as the pointwise calls do
         if overflow[a, b]:
             raise OverflowError("math range error")  # as math.exp and math.cosh word it
         raise _region_mismatch(ModelParams(float(j0s[b]), float(js[a]), beta), float(delta[a, b]), expected[a, b])

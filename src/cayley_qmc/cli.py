@@ -296,7 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, OSError) as exc:  # OSError: an observable or --out path that cannot be read or written
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
-    except OverflowError as exc:
+    except OverflowError as exc:  # math's wording; the threshold's own error is a DomainError, caught above
         print(f"domain error: couplings times beta overflow a float ({exc})", file=sys.stderr)
         return DOMAIN_EXIT
     return status

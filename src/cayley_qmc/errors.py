@@ -25,5 +25,12 @@ class ModelInconsistencyError(DomainError):
     """A numeric extraction violated a structural identity of the model."""
 
 
+class ThresholdOverflowError(DomainError, OverflowError):
+    """The region threshold overflows a float (beta below about 1e-308), not a coupling product.
+
+    Still an OverflowError, as math's are, so a grid records it per line as it does theirs.
+    """
+
+
 class ResourceLimitError(CayleyQmcError):
     """Requested volume exceeds the dense brute-force guard."""

@@ -105,9 +105,13 @@ def xy_bond(p: ModelParams) -> np.ndarray:
 
 
 def operator_coeffs(p: ModelParams) -> OperatorCoeffs:
+    """The bond and vertex expansion coefficients.
+
+    Raises OverflowError, as math.exp does, where a coefficient overflows a float.
+    """
     x = math.exp(p.j0 * p.beta)
     ch, sh = math.cosh(p.j * p.beta), math.sinh(p.j * p.beta)
-    return OperatorCoeffs(
+    c = OperatorCoeffs(
         k0=(x + 1) / 2,
         k3=(x - 1) / 2,
         gamma1=(x * x + 1 + 2 * x * ch) / 4,
@@ -115,6 +119,9 @@ def operator_coeffs(p: ModelParams) -> OperatorCoeffs:
         gamma3=(x * x + 1 - 2 * x * ch) / 4,
         delta1=(x * x - 1) / 4,
     )
+    if not all(map(math.isfinite, vars(c).values())):  # each factor is finite, a product of them is not
+        raise OverflowError("math range error")
+    return c
 
 
 def ising_bond_closed(p: ModelParams) -> np.ndarray:
@@ -137,13 +144,18 @@ def vertex_operator(p: ModelParams) -> np.ndarray:
     Tensor order is (parent, child 1, child 2); the bond factors are the
     exponentials, multiplied in the stated order.  Cached per (frozen)
     parameter set, so the array is read-only: every caller shares it.
+    Raises OverflowError, as math.exp does, where an entry overflows a float
+    (each bond is finite, their product is not); a refusal is not cached.
     """
     bond = ising_bond(p)
     eye = PAULI["I"]
     k1 = kron(bond, eye)
     k2 = _swap_middle(kron(bond, eye))
     l12 = kron(eye, xy_bond(p))
-    a = k1 @ k2 @ l12
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = k1 @ k2 @ l12
+    if not np.isfinite(a).all():
+        raise OverflowError("math range error")
     a.setflags(write=False)
     return a
 

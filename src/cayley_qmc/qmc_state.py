@@ -14,8 +14,10 @@ Three routes coexist on purpose:
 
 Both finite-volume routes end in the same step, the normalized trace of a
 bare 2^m x 2^m weight in ball order (the vertex at position x has its
-children at 2x+1 and 2x+2) against the observable embedded in that order;
-they differ only in how the weight is built.
+children at 2x+1 and 2x+2) against the observable, taken site by site
+without embedding it: one einsum sums each identity site's diagonal and
+keeps each factor site's entries, and the factors are contracted in one
+at a time; the routes differ only in how the weight is built.
 
 The recursive route evaluates the same functional as the brute force: an
 observable whose deepest factors sit at level m is contracted from level m
@@ -315,18 +317,39 @@ def weight_matrix(ctx: EvalContext, n: int) -> np.ndarray:
 
 
 def _trace_weight(w: np.ndarray, n: int, obs: Observable) -> complex:
-    """Normalized trace of the n-ball's weight against the observable embedded in ball order."""
-    sites = ball_vertices(n)
+    """Normalized trace of the n-ball's weight against the observable, site by site.
+
+    w is a bare 2^m x 2^m matrix in ball order, m the sites of the n-ball.
+    Per term, the observable is never embedded: one single-operand einsum on
+    w as a (2,)*(2m) tensor sums the row and column of every identity site
+    on the diagonal (one label twice) and keeps the (column, row) pair of
+    every factor site, leaving 4^k entries for k factors.  The factors are
+    then contracted in one site at a time, f00 x[0] + f01 x[1] + f10 x[2] +
+    f11 x[3] on x.reshape(4, -1): elementwise arithmetic, no BLAS call.
+    """
+    m = 2 ** (n + 1) - 1
+    t = w.reshape((2,) * (2 * m))
     total = 0j
     for term in obs.terms:
-        fmap = term.factor_map
-        emb = kron_chain([fmap.get(s, PAULI["I"]) for s in sites])
-        total += term.coeff * np.einsum("ij,ji->", w, emb) / emb.shape[0]
-    return complex(total)
+        labels = [*range(m), *range(m)]  # rows, then columns; an identity site's row and column share a label
+        kept = []
+        for site, _ in term.factors:
+            pos = 0
+            for d in site.digits:  # the children of position pos sit at 2 pos + 1 and 2 pos + 2
+                pos = 2 * pos + d
+            labels[m + pos] = m + pos
+            kept += [m + pos, pos]  # the factor's (column, row)
+        x = np.einsum(t, labels, kept)
+        for _, f in term.factors:
+            f00, f01, f10, f11 = f.ravel().tolist()
+            x = x.reshape(4, -1)
+            x = f00 * x[0] + f01 * x[1] + f10 * x[2] + f11 * x[3]
+        total += term.coeff * x.item() / 2**m
+    return total
 
 
 def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
-    """Normalized trace of the depth-(n+1) weight against the embedded observable."""
+    """Normalized trace of the depth-(n+1) weight against the observable, site by site (_trace_weight)."""
     _check_support(obs, n)
     return _trace_weight(weight_matrix(ctx, n), n + 1, obs)
 
@@ -564,9 +587,10 @@ def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
     """The brute-force functional on the (n+1)-ball, traced against the reduced weight.
 
     The observable lives on the n-ball, so its value is the normalized trace
-    against reduced_weight (cached per context and depth).  Identical in
-    value to eval_bruteforce where both are defined; reaches the 15-site
-    volume (n = 2) that the level-1 compatibility check needs.
+    against reduced_weight (cached per context and depth), taken site by site
+    as eval_bruteforce takes it (_trace_weight).  Identical in value to
+    eval_bruteforce where both are defined; reaches the 15-site volume
+    (n = 2) that the level-1 compatibility check needs.
     """
     _check_support(obs, n)
     return _trace_weight(reduced_weight(ctx, n), n, obs)

@@ -12,11 +12,18 @@ from cayley_qmc.boundary import (
     fixed_point_residual,
     ordered_sign,
     phase_region,
+    phase_region_grid,
     solve_branch,
     solve_ordered,
     xy_alpha_report,
 )
-from cayley_qmc.errors import DomainError, ModelInconsistencyError, SingularParameterError, SolutionNotPositiveError
+from cayley_qmc.errors import (
+    DomainError,
+    ModelInconsistencyError,
+    SingularParameterError,
+    SolutionNotPositiveError,
+    ThresholdOverflowError,
+)
 from cayley_qmc.linalg import normalized_trace
 from cayley_qmc.model_ops import ModelParams, transfer_coeffs, vertex_operator
 
@@ -93,6 +100,14 @@ def test_threshold_stays_finite_where_cosh_squared_overflows(x):
 def test_threshold_beyond_a_float_raises_overflow():
     with pytest.raises(OverflowError):
         dd_threshold(1.0, 5e-324)  # log(3) / 1e-323
+
+
+def test_threshold_overflow_names_the_threshold_and_beta():
+    with pytest.raises(ThresholdOverflowError, match=r"region threshold .* J = 1\.0, beta = 5e-324$"):
+        dd_threshold(1.0, 5e-324)
+    js = np.array([-1.0, 0.0, 1.0])
+    with pytest.raises(ThresholdOverflowError, match=r"J = -1\.0, beta = 5e-324$"):  # the first line fails first
+        phase_region_grid(js, np.array([0.5, 2.0]), 5e-324)
 
 
 def test_solve_disordered_trivial():

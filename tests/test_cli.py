@@ -412,6 +412,14 @@ def test_an_overflowing_exponential_exits_2_without_a_warning(capsys, argv):
     assert _one_domain_error(code, out, err) and "overflow" in err and not caught
 
 
+def test_a_threshold_overflow_names_the_threshold_not_the_couplings(capsys):
+    argv = ["phase-diagram", "--j-min", "-1", "--j-max", "1", "--j0-min", "0.5", "--j0-max", "2",
+            "--beta", "5e-324", "--resolution", "3"]
+    code, out, err = run_cli(capsys, argv)
+    assert _one_domain_error(code, out, err) and "region threshold" in err and "beta = 5e-324" in err
+    assert "couplings times beta" not in err
+
+
 NAN_FACTOR = '{"terms": [{"factors": [{"site": [1], "matrix": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}]}]}'
 
 

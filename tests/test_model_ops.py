@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,32 @@ def test_vertex_operator_is_cached_read_only():
     assert vertex_operator(ModelParams(1.0, 0.5, 0.8)) is a
     with pytest.raises(ValueError):
         a[0, 0] = 0
+
+
+@pytest.mark.parametrize("build", [operator_coeffs, vertex_operator_closed, vertex_operator])
+def test_operator_builders_refuse_an_overflowing_product_without_a_warning(build):
+    # e^{j0 beta} = e^400 is finite, its square is not
+    p = ModelParams(400.0, 0.0, 1.0)
+    cached = vertex_operator.cache_info().currsize
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):  # a refusal is not cached: it is raised again
+            with pytest.raises(OverflowError):
+                build(p)
+    assert vertex_operator.cache_info().currsize == cached
+
+
+def test_operator_builders_keep_their_bits_inside_the_range():
+    p = ModelParams(1.0, 0.3, 1.2)
+    c = operator_coeffs(p)  # recorded before the overflow checks were added
+    assert [x.hex() for x in (c.k0, c.k3, c.gamma1, c.gamma2, c.gamma3, c.delta1)] == [
+        "0x1.147ccbb0832d2p+1", "0x1.28f99761065a4p+0", "0x1.3192e6c2f14e2p+2",
+        "0x1.38a2576a48b10p-1", "0x1.3cabd686ad613p+0", "0x1.40bddc649ca67p+1",
+    ]
+    eye = PAULI["I"]
+    k = kron(ising_bond(p), eye)
+    k2 = k.reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)  # the bond on (parent, child 2)
+    assert vertex_operator(p).tobytes() == (k @ k2 @ kron(eye, xy_bond(p))).tobytes()
 
 
 def test_closed_expansion_matches_product():
