@@ -108,11 +108,6 @@ def _expects_transition(j, j0, threshold):
     return (j * j > j0 * j0) | (j0 > threshold)
 
 
-def _region_mismatch(p: ModelParams, delta: float, transition: bool) -> ModelInconsistencyError:
-    want = Classification.PHASE_TRANSITION if transition else Classification.UNIQUE
-    return ModelInconsistencyError(f"region check failed at {p}: delta={delta!r} vs closed-form {want.value}")
-
-
 def delta_theta(p: ModelParams) -> float:
     """The discriminant Delta(theta) whose sign separates the phase regions."""
     if p.j == p.j0 or p.j == -p.j0:
@@ -155,7 +150,8 @@ def phase_region(p: ModelParams) -> PhaseRegion:
     if abs(delta) > REGION_GUARD:
         expected = _expects_transition(p.j, p.j0, dd_threshold(p.j, p.beta))
         if expected != transition:
-            raise _region_mismatch(p, delta, expected)
+            want = Classification.PHASE_TRANSITION if expected else Classification.UNIQUE
+            raise ModelInconsistencyError(f"region check failed at {p}: delta={delta!r} vs closed-form {want.value}")
     return PhaseRegion(delta, Classification.PHASE_TRANSITION if transition else Classification.UNIQUE)
 
 
@@ -177,9 +173,9 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
 
     Returns Delta and the classification names on the grid (J along axis 0),
     with nan and "Singular" where delta_theta raises SingularParameterError,
-    and dd_threshold per J line.  Fails where the pointwise calls would, at
-    the first failing point with J outer and dd_threshold called first: with
-    their OverflowError or phase_region's ModelInconsistencyError.
+    and dd_threshold per J line.  Fails where the pointwise calls would: at
+    the first failing point, J outer, it calls dd_threshold and phase_region,
+    which raise their own error there.
 
     The grid is separable.  e^{4 J0 beta} and e^{2 J0 beta} per J0 line, and
     cosh(2 J beta) and dd_threshold per J line, come from `math` (libm), as
@@ -206,13 +202,11 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
     # delta_theta never forms e^{4 J0 beta} or den at an excluded point
     overflow = threshold_overflow[:, None] | ((e4_overflow | ~np.isfinite(den)) & ~excluded)
     failed = np.flatnonzero(overflow | mismatch)
-    if failed.size:
+    if failed.size:  # the pointwise calls at the first failing point raise its error
         a, b = divmod(int(failed[0]), len(j0s))
-        if threshold_overflow[a]:
-            dd_threshold(float(js[a]), beta)  # raises its own error, as the pointwise calls do
-        if overflow[a, b]:
-            raise OverflowError("math range error")  # as math.exp and math.cosh word it
-        raise _region_mismatch(ModelParams(float(j0s[b]), float(js[a]), beta), float(delta[a, b]), expected[a, b])
+        dd_threshold(float(js[a]), beta)
+        phase_region(ModelParams(float(j0s[b]), float(js[a]), beta))
+        raise ModelInconsistencyError(f"the grid fails at J = {js[a]}, J0 = {j0s[b]}, where the pointwise calls do not")
     names = np.where(transition, Classification.PHASE_TRANSITION.value, Classification.UNIQUE.value)
     names[np.abs(delta) <= BOUNDARY_TOL] = Classification.BOUNDARY.value
     names[singular] = "Singular"

@@ -1,4 +1,4 @@
-"""Dense complex kernel: dagger, kron, kron_chain, normalized_trace, herm_exp.
+"""Dense complex kernel: dagger, kron, normalized_trace, herm_exp.
 
 All traces are normalized: the identity has trace 1.  Single-site dimension
 is 2; a multi-site operator is a Kronecker chain over its sites in the ball
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
 
 import numpy as np
 
@@ -33,13 +32,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     out = a[:, None, :, None] * b[None, :, None, :]
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
-def kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
 
 
 def normalized_trace(a: np.ndarray) -> complex:

@@ -1,23 +1,25 @@
 """Finite-volume and limit evaluation of the boundary-driven tree states.
 
-Three routes coexist on purpose:
+Two routes coexist on purpose:
 
-* the literal dense reference, which builds the weight matrix K*K of the
-  volume as written (guarded at 7 sites, i.e. the two-level ball);
-* the outward reduced oracle, which builds the same weight already reduced
-  to the inner ball, Tr_{level n+1}(K*K), by conjugating outward from the
-  root and tracing out each boundary pair as soon as no later factor acts on
-  it; it reaches the three-level ball (15 sites) with nothing larger than
-  128x128;
+* the finite-volume oracles, which trace the observable against the weight
+  K*K of the (n+1)-ball.  One builder forms that weight outward from the
+  root: it starts at omega0 and each vertex conjugates it on the vertex's
+  own slot, so K itself is never formed.  eval_bruteforce keeps the
+  boundary level (weight_matrix, up to 7 sites, the two-level ball).
+  eval_sparse traces each boundary pair out as soon as no later factor
+  acts on it (reduced_weight, Tr_{level n+1}(K*K)), so it reaches the
+  three-level ball (15 sites) with nothing larger than 128x128.  The
+  literal K, built factor by factor, is the tests' reference;
 * a recursive level-by-level contraction through the per-vertex conditional
   expectation, valid at any depth.
 
-Both finite-volume routes end in the same step, the normalized trace of a
+Both finite-volume oracles end in the same step, the normalized trace of a
 bare 2^m x 2^m weight in ball order (the vertex at position x has its
 children at 2x+1 and 2x+2) against the observable, taken site by site
 without embedding it: one einsum sums each identity site's diagonal and
 keeps each factor site's entries, and the factors are contracted in one
-at a time; the routes differ only in how the weight is built.
+at a time; they differ only in whether the weight keeps its boundary level.
 
 The recursive route evaluates the same functional as the brute force: an
 observable whose deepest factors sit at level m is contracted from level m
@@ -61,12 +63,11 @@ import numpy as np
 
 from .boundary import Branch, BoundarySolution, solve_branch
 from .errors import DomainError, ResourceLimitError
-from .linalg import dagger, kron_chain
+from .linalg import kron
 from .model_ops import PAULI, ModelParams, pauli, vertex_operator
 from .tree import ROOT, TreeCoord, ball_vertices, concat
 
-MAX_DENSE_SITES = 7  # dims beyond 2^7 = 128 are refused on the dense route
-MAX_REDUCED_DEPTH = 2  # the 15-site ball, reduced to its 7 inner sites
+MAX_WEIGHT_SITES = 7  # a finite-volume weight beyond 2^7 x 2^7 = 128x128 is refused
 
 
 @dataclass(frozen=True)
@@ -244,12 +245,12 @@ class EvalContext:
 
     Every boundary solution is diagonal (alpha*1, or xi0*1 +- xi3*sz on the
     ordered pair), so h and omega0 are accepted only as 2x2 diagonal matrices
-    with real nonnegative entries, a DomainError otherwise, and their square
-    roots are entrywise.  `create` takes the branch's solution from
-    boundary.solve_branch: it is per-process and shared with every other
-    caller that solves the same (params, branch), so its h and omega0 (and
-    this context's) are read-only; a refusal is not cached and raises on every
-    call.
+    with real nonnegative entries, a DomainError otherwise, and the weight
+    builder takes h's square root entrywise.  `create` takes the branch's
+    solution from boundary.solve_branch: it is per-process and shared with
+    every other caller that solves the same (params, branch), so its h and
+    omega0 (and this context's) are read-only; a refusal is not cached and
+    raises on every call.
     """
 
     params: ModelParams
@@ -264,16 +265,6 @@ class EvalContext:
         object.__setattr__(self, "h", _diagonal_boundary(self.solution.h, "h"))
         object.__setattr__(self, "omega0", _diagonal_boundary(self.solution.omega0, "omega0"))
 
-    @cached_property
-    def h_sqrt(self) -> np.ndarray:
-        """h^{1/2}, entrywise, which only the finite-volume oracles use; computed on first use."""
-        return np.sqrt(self.h)
-
-    @cached_property
-    def omega0_sqrt(self) -> np.ndarray:
-        """omega0^{1/2}, entrywise, which only the finite-volume oracles use; computed on first use."""
-        return np.sqrt(self.omega0)
-
     @classmethod
     def create(cls, params: ModelParams, branch: Branch) -> "EvalContext":
         return cls(params=params, solution=solve_branch(params, branch))
@@ -285,35 +276,68 @@ def _check_support(obs: Observable, n: int) -> None:
             raise DomainError(f"observable site {site} lies outside the level-{n} ball")
 
 
-def weight_matrix(ctx: EvalContext, n: int) -> np.ndarray:
-    """The dense positive weight K*K of the (n+1)-ball, built literally, in ball order.
+def _outward_weight(ctx: EvalContext, n: int, reduce: bool) -> np.ndarray:
+    """The weight K*K of the (n+1)-ball, built outward from the root; reduced to the n-ball if reduce.
 
     K is omega0^{1/2} on the root, then the vertex operator A_x on
     (x, 2x+1, 2x+2) for every vertex x of levels 0..n in ball order, then
-    h^{1/2} on every boundary site; each factor multiplies K on its own site
-    axes.  Refuses volumes beyond 7 sites.
+    h^{1/2} on every boundary site.  Instead of forming K, the weight starts
+    at omega0 and every vertex x, in K's order, conjugates it on x's slot,
+    X -> B* (X x 1 x 1) B, x's two children joining at the end of the ball
+    order.  B is A_x above level n and A_x (1 x h^{1/2} x h^{1/2}) at level
+    n: the boundary sites' h^{1/2}, entrywise, commute with every later A.
+    With reduce, each level-n vertex's two boundary children are traced out
+    (normalized) right away, which is exact because no later factor acts on
+    them; nothing uses the fixed point.  Each step is a small superoperator
+    on x's slot.  Refuses a result beyond 7 sites (128x128), and a weight
+    that is not finite, as low temperature overflows it, with a DomainError.
+    Cached on the context per depth and form.
     """
     if n < 0:
         raise DomainError(f"depth must be >= 0, got {n}")
-    m = 2 ** (n + 2) - 1  # sites of the (n+1)-ball
-    if m > MAX_DENSE_SITES:
-        raise ResourceLimitError(f"dense weight on {m} sites (dim 2^{m}) exceeds the {MAX_DENSE_SITES}-site guard")
-    key = ("weight", n)
+    sites = 2 ** (n + 1 if reduce else n + 2) - 1
+    if sites > MAX_WEIGHT_SITES:
+        raise ResourceLimitError(f"a weight on {sites} sites (dim 2^{sites}) exceeds the {MAX_WEIGHT_SITES}-site guard")
+    key = ("reduced_weight" if reduce else "weight", n)
     if key in ctx._cache:
         return ctx._cache[key]
-    inner = 2 ** (n + 1) - 1  # sites of the n-ball: the vertices that carry an A
-    factors = [(ctx.omega0_sqrt, (0,))]
-    factors += [(ctx.vertex, (x, 2 * x + 1, 2 * x + 2)) for x in range(inner)]
-    factors += [(ctx.h_sqrt, (x,)) for x in range(inner, m)]
-    k = np.eye(2**m, dtype=complex).reshape((2,) * (2 * m))  # rows then columns, one axis per site
-    for op, sites in factors:
-        cols = [m + x for x in sites]
-        k = np.tensordot(k, op.reshape((2,) * (2 * len(sites))), axes=(cols, range(len(sites))))
-        k = np.moveaxis(k, range(-len(sites), 0), cols)
-    k = k.reshape(2**m, 2**m)
-    w = dagger(k) @ k
+    h_sqrt = np.sqrt(ctx.h)
+    a = ctx.vertex.reshape(2, 4, 8)
+    a_h = (ctx.vertex @ kron(PAULI["I"], kron(h_sqrt, h_sqrt))).reshape(2, 4, 8)
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight beyond a float is refused below
+        step = np.einsum("aip,biq->abpq", a.conj(), a).reshape((2,) * 8)
+        if reduce:  # x's slot (a, b) -> (p, q), its two children traced out
+            b = a_h.reshape(2, 4, 2, 4)
+            last = np.einsum("aipc,biqc->abpq", b.conj(), b) / 4
+        else:
+            last = np.einsum("aip,biq->abpq", a_h.conj(), a_h).reshape((2,) * 8)
+        x, m = ctx.omega0, 1  # the weight as a tensor on its m sites, rows then columns
+        for p in range(2 ** (n + 1) - 1):  # every vertex of the n-ball, in ball order
+            t = step if p < 2**n - 1 else last
+            x = np.tensordot(x, t, axes=([p, m + p], [0, 1]))
+            if t.ndim == 4:  # a reduced level-n vertex: its children are traced out
+                x = np.moveaxis(x, [-2, -1], [p, m + p])
+            else:
+                x = np.moveaxis(x, range(-6, 0), [p, m, m + 1, m + 2 + p, 2 * m + 2, 2 * m + 3])
+                m += 2
+        w = x.reshape(2**m, 2**m)
+        if not np.isfinite(w).all():
+            raise DomainError(
+                f"the weight of the {2 ** (n + 2) - 1}-site ball overflows a float on the "
+                f"{ctx.solution.branch.value} branch at j0={ctx.params.j0}, j={ctx.params.j}, beta={ctx.params.beta}"
+            )
     ctx._cache[key] = w
     return w
+
+
+def weight_matrix(ctx: EvalContext, n: int) -> np.ndarray:
+    """The positive weight K*K of the (n+1)-ball, in ball order (_outward_weight); reaches n = 1."""
+    return _outward_weight(ctx, n, reduce=False)
+
+
+def reduced_weight(ctx: EvalContext, n: int) -> np.ndarray:
+    """The weight K*K of the (n+1)-ball, its level n+1 traced out (_outward_weight); reaches n = 2."""
+    return _outward_weight(ctx, n, reduce=True)
 
 
 def _trace_weight(w: np.ndarray, n: int, obs: Observable) -> complex:
@@ -349,9 +373,22 @@ def _trace_weight(w: np.ndarray, n: int, obs: Observable) -> complex:
 
 
 def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
-    """Normalized trace of the depth-(n+1) weight against the observable, site by site (_trace_weight)."""
+    """Normalized trace of the (n+1)-ball's weight_matrix against the observable, site by site (_trace_weight)."""
     _check_support(obs, n)
     return _trace_weight(weight_matrix(ctx, n), n + 1, obs)
+
+
+def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
+    """The brute-force functional on the (n+1)-ball, traced against the reduced weight.
+
+    The observable lives on the n-ball, so its value is the normalized trace
+    against reduced_weight (cached per context and depth), taken site by site
+    as eval_bruteforce takes it (_trace_weight).  Identical in value to
+    eval_bruteforce where both are defined; reaches the 15-site volume
+    (n = 2) that the level-1 compatibility check needs.
+    """
+    _check_support(obs, n)
+    return _trace_weight(reduced_weight(ctx, n), n, obs)
 
 
 _PAIRS = ((0, 0), (0, 3), (1, 2), (2, 1), (3, 0), (3, 3))  # M's charge-conserving child pairs (b, c), in einsum's order
@@ -544,58 +581,6 @@ def _compile(term: ObservableTerm) -> tuple[tuple, ...]:
     return tuple(ops)
 
 
-def reduced_weight(ctx: EvalContext, n: int) -> np.ndarray:
-    """The weight K*K of the (n+1)-ball, reduced to the inner n-ball; reaches n = 2.
-
-    Built outward from the root instead of from K: starting at omega0, every
-    vertex x in K's order conjugates the weight, X -> A_x* (X x 1 x 1) A_x on
-    (x, x1, x2), its children joining at the end of the ball order.  At level
-    n the factor is A_x (1 x h^{1/2} x h^{1/2}) and x's two boundary children
-    are traced out (normalized) right away, which is exact because no later
-    factor acts on them; nothing uses the fixed point.  Each step is a small
-    superoperator on x's slot, and the largest object is the 128x128 result
-    at n = 2.  Refuses n >= 3.
-    """
-    if n < 0:
-        raise DomainError(f"depth must be >= 0, got {n}")
-    if n > MAX_REDUCED_DEPTH:
-        raise ResourceLimitError(
-            f"reduced weight of the {2 ** (n + 2) - 1}-site ball exceeds the "
-            f"{2 ** (MAX_REDUCED_DEPTH + 2) - 1}-site guard"
-        )
-    key = ("reduced_weight", n)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    a = ctx.vertex.reshape(2, 4, 8)
-    step = np.einsum("aip,biq->abpq", a.conj(), a).reshape((2,) * 8)
-    a_h = (ctx.vertex @ kron_chain([PAULI["I"], ctx.h_sqrt, ctx.h_sqrt])).reshape(2, 4, 2, 4)
-    last = np.einsum("aipc,biqc->abpq", a_h.conj(), a_h) / 4
-    x, m = ctx.omega0, 1  # the weight as a tensor on its m sites, rows then columns
-    for p in range(2**n - 1):  # the vertices above level n, in ball order
-        x = np.tensordot(x, step, axes=([p, m + p], [0, 1]))
-        x = np.moveaxis(x, range(-6, 0), [p, m, m + 1, m + 2 + p, 2 * m + 2, 2 * m + 3])
-        m += 2
-    for p in range(2**n - 1, m):  # level n
-        x = np.tensordot(x, last, axes=([p, m + p], [0, 1]))
-        x = np.moveaxis(x, [-2, -1], [p, m + p])
-    w = x.reshape(2**m, 2**m)
-    ctx._cache[key] = w
-    return w
-
-
-def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
-    """The brute-force functional on the (n+1)-ball, traced against the reduced weight.
-
-    The observable lives on the n-ball, so its value is the normalized trace
-    against reduced_weight (cached per context and depth), taken site by site
-    as eval_bruteforce takes it (_trace_weight).  Identical in value to
-    eval_bruteforce where both are defined; reaches the 15-site volume
-    (n = 2) that the level-1 compatibility check needs.
-    """
-    _check_support(obs, n)
-    return _trace_weight(reduced_weight(ctx, n), n, obs)
-
-
 def random_product_observable(rng: np.random.Generator, sites: Iterable[TreeCoord]) -> Observable:
     """A product observable with O(1) random complex factors on the given sites."""
     factors = {}
@@ -607,8 +592,9 @@ def random_product_observable(rng: np.random.Generator, sites: Iterable[TreeCoor
 def compatibility_residual(ctx: EvalContext, n: int, trials: int, seed: int = 0) -> float:
     """Worst |phi^(n+1)(a) - phi^(n)(a)| over random product observables on the n-ball.
 
-    The shallow side is the dense weight and the deep side, on the (n+2)-ball,
-    the reduced weight (the 15-site volume of n = 1 exceeds the dense guard).
+    One weight builder at two depths: the shallow side traces against
+    weight_matrix(ctx, n) and the deep side, on the (n+2)-ball, against
+    reduced_weight(ctx, n + 1), whose 15 sites at n = 1 are traced down to 7.
     """
     if n not in (0, 1):
         raise ResourceLimitError(f"compatibility check supports n in {{0, 1}}, got {n}")

@@ -626,31 +626,72 @@ contract_numbers = st.builds(lambda x, spell: spell(x), contract_floats,
                              st.sampled_from([repr, lambda x: format(x, "e"), lambda x: format(x, ".17g")]))
 
 
+# values that no part of an observable document may hold: bools, null, strings and unknown labels, digits
+# other than 1 or 2, an integer beyond a double, non-finite numbers, empty and short containers
+HOSTILE = st.sampled_from([True, None, "1", "W", "XY", "", 0, 3, 10**400, -10**400, math.nan, math.inf, -math.inf,
+                           [], {}, [1.0], [0], [3], [1, True], [2, -1], [[1, 0]] * 3])
+
+
+def _sites(depth):
+    """A site of the given depth, its digits drawn as the bits of one integer (one draw even when deep)."""
+    return st.integers(0, 2**depth - 1).map(lambda bits: [1 + (bits >> i & 1) for i in range(depth)])
+
+
+def _documents(spoil):
+    """Observable documents as JSON text, each part passed through spoil."""
+    number = spoil(st.one_of(st.floats(-2.0, 2.0), st.integers(-3, 3)))
+    pair = spoil(st.tuples(number, number).map(list))
+    site = spoil(st.sampled_from([0, 1, 2, 3, 40, 300]).flatmap(_sites))  # deep sites too
+    factor = st.one_of(
+        st.fixed_dictionaries({"site": site, "pauli": spoil(st.sampled_from(["I", "X", "Y", "Z", "z"]))}),
+        st.fixed_dictionaries({"site": site, "matrix": spoil(st.lists(pair, min_size=4, max_size=4))}),
+    )
+    term = st.fixed_dictionaries({"coeff": st.one_of(number, pair), "factors": spoil(st.lists(factor, max_size=3))})
+    return spoil(st.fixed_dictionaries({"terms": st.lists(term, min_size=1, max_size=2)})).map(json.dumps)
+
+
+# an observable file's text: well formed, or with about one part in eight replaced by a hostile value (json
+# writes nan and inf as NaN and Infinity), or cut short so that it is not JSON
+observable_documents = st.one_of(
+    _documents(lambda good: good),
+    _documents(lambda good: st.one_of(*[good] * 7, HOSTILE)).flatmap(
+        lambda text: st.sampled_from([text] * 7 + [text[:-1]])),
+)
+
+
+OBSERVABLE_SLOT = "<observable file>"  # evaluate's --observable, replaced by the drawn document's path
+
+
 @st.composite
 def contract_argv(draw):
+    """A command line, and for evaluate the text of its observable file (None otherwise)."""
     def number():
         return draw(contract_numbers)
 
     def small(lo, hi):
         return str(draw(st.integers(lo, hi)))
 
-    command = draw(st.sampled_from(["coeffs", "solve", "evaluate", "phase-diagram", "projector", "cluster"]))
+    commands = ["coeffs", "solve", "evaluate", "evaluate", "phase-diagram", "projector", "cluster"]
+    command = draw(st.sampled_from(commands))  # evaluate twice: it also draws its observable document
+    document = None
     if command == "phase-diagram":
         argv = [command, "--j-min", number(), "--j-max", number(), "--j0-min", number(), "--j0-max", number(),
                 "--beta", number(), "--resolution", small(1, 4)]
     elif command == "projector":
         argv = [command, "--j0", number(), "--j", number(), "--n", small(0, 4), "--beta-min", number(),
                 "--beta-max", number(), "--steps", small(0, 3)]
+    elif command == "evaluate" and draw(st.booleans()):  # every branch but xy solves here: the document is evaluated
+        argv = [command, "--j0", "1", "--j", "0.5", "--beta", "0.8"]
     else:
         argv = [command, "--j0", number(), "--j", number(), "--beta", number()]
     if command == "evaluate":
-        argv += ["--observable", str(GOLDEN / "readme-obs.json"),
-                 "--branch", draw(st.sampled_from([b.value for b in Branch]))]
+        document = draw(observable_documents)
+        argv += ["--observable", OBSERVABLE_SLOT, "--branch", draw(st.sampled_from([b.value for b in Branch]))]
     if command == "cluster":
         argv += ["--branch", draw(st.sampled_from(["plus", "minus"])), "--max-level", small(3, 6)]
     if command in ("phase-diagram", "projector", "cluster"):
         argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
-    return argv
+    return argv, document
 
 
 def _unexpected_nulls(command, doc, j0):
@@ -677,8 +718,13 @@ def _unexpected_nulls(command, doc, j0):
 
 @settings(max_examples=300, deadline=None)
 @given(contract_argv())
-def test_every_command_keeps_the_exit_code_contract(argv):
+def test_every_command_keeps_the_exit_code_contract(tmp_path_factory, drawn):
     # exit 0, 2, 3 or 64; a refusal prints nothing to stdout; nothing escapes main; no silent null
+    argv, document = drawn
+    if document is not None:
+        path = tmp_path_factory.getbasetemp() / "contract-observable.json"
+        path.write_text(document, encoding="utf-8")
+        argv = [str(path) if a == OBSERVABLE_SLOT else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayley_qmc.errors import DomainError
-from cayley_qmc.linalg import dagger, herm_exp, kron, kron_chain, normalized_trace
+from cayley_qmc.linalg import dagger, herm_exp, kron, normalized_trace
 from cayley_qmc.model_ops import PAULI
 
 
@@ -29,8 +29,6 @@ def test_kron_is_np_kron_bit_for_bit(rng, shape_a, shape_b):
         want = np.kron(a.astype(complex), b.astype(complex))
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-    mats = [crandn(rng, shape_a), rng.normal(size=shape_b), crandn(rng, (2, 2))]
-    assert kron_chain(mats).tobytes() == np.kron(np.kron(mats[0], mats[1].astype(complex)), mats[2]).tobytes()
 
 
 def test_normalized_trace_examples():

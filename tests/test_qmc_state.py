@@ -18,12 +18,13 @@ from cayley_qmc import qmc_state
 from cayley_qmc.analysis import (
     E11,
     marker_expectation_closed,
+    marker_observable,
     projector_expectation_closed,
     projector_observable,
 )
 from cayley_qmc.boundary import Branch, BoundarySolution, delta_theta, solve_branch, solve_ordered
 from cayley_qmc.errors import CayleyQmcError, DomainError, ResourceLimitError
-from cayley_qmc.linalg import dagger, kron_chain, normalized_trace
+from cayley_qmc.linalg import dagger, kron, normalized_trace
 from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs, vertex_channel, vertex_operator
 from cayley_qmc.qmc_state import (
     EvalContext,
@@ -45,7 +46,7 @@ from cayley_qmc.qmc_state import (
 )
 from cayley_qmc.tree import ROOT, TreeCoord, ball_vertices
 
-from conftest import ORDERED_POINT
+from conftest import ORDERED_POINT, XY_POINT
 
 
 def test_observable_json_roundtrip(rng):
@@ -118,13 +119,75 @@ def test_weight_matrix_positive_and_normalized(ctx_plus):
         assert normalized_trace(w) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_weight_matrix_is_the_literal_three_site_product(ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
-    # K = omega0^{1/2} on the root, then A on (root, 1, 2), then h^{1/2} on both children
-    for ctx in (ctx_plus, ctx_minus, ctx_disordered, ctx_xy):
-        eye = PAULI["I"]
-        k = kron_chain([ctx.omega0_sqrt, eye, eye]) @ ctx.vertex @ kron_chain([eye, ctx.h_sqrt, ctx.h_sqrt])
-        want = dagger(k) @ k
-        assert np.max(np.abs(weight_matrix(ctx, 0) - want)) <= 1e-14 * np.max(np.abs(want))
+def literal_weight(ctx, n):
+    """The reference of weight_matrix: K*K of the (n+1)-ball, with K built literally, in ball order.
+
+    K is omega0^{1/2} on the root, then the vertex operator A_x on
+    (x, 2x+1, 2x+2) for every vertex x of levels 0..n in ball order, then
+    h^{1/2} on every boundary site; each factor multiplies K on its own site
+    axes, as the formula is written.
+    """
+    m = 2 ** (n + 2) - 1  # sites of the (n+1)-ball
+    inner = 2 ** (n + 1) - 1  # sites of the n-ball: the vertices that carry an A
+    factors = [(np.sqrt(ctx.omega0), (0,))]
+    factors += [(ctx.vertex, (x, 2 * x + 1, 2 * x + 2)) for x in range(inner)]
+    factors += [(np.sqrt(ctx.h), (x,)) for x in range(inner, m)]
+    k = np.eye(2**m, dtype=complex).reshape((2,) * (2 * m))  # rows then columns, one axis per site
+    for op, sites in factors:
+        cols = [m + x for x in sites]
+        k = np.tensordot(k, op.reshape((2,) * (2 * len(sites))), axes=(cols, range(len(sites))))
+        k = np.moveaxis(k, range(-len(sites), 0), cols)
+    k = k.reshape(2**m, 2**m)
+    return dagger(k) @ k
+
+
+ROOT_CASES = (
+    [(ModelParams(1.0, 0.3, 1.2), b) for b in (Branch.DISORDERED, Branch.ORDERED_PLUS, Branch.ORDERED_MINUS)]
+    + [(ModelParams(0.0, 0.3, 1.2), Branch.XY_ONLY)]
+    # beta = 60: h's two entries are e^{+-240} apart and omega0 grows like e^{240}
+    + [(ModelParams(1.0, 0.3, 60.0), b) for b in (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS)]
+)
+# every branch that solves, at six points
+LITERAL_CASES = (
+    ROOT_CASES
+    + [(ModelParams(1.0, 0.3, 60.0), Branch.DISORDERED), (ModelParams(0.0, 0.3, 1.2), Branch.DISORDERED)]
+    + [(p, b) for p in (ORDERED_POINT, ModelParams(0.7, -0.4, 2.5))
+       for b in (Branch.DISORDERED, Branch.ORDERED_PLUS, Branch.ORDERED_MINUS)]
+    + [(XY_POINT, b) for b in (Branch.DISORDERED, Branch.XY_ONLY)]
+)
+
+
+@pytest.mark.parametrize(("p", "branch"), ROOT_CASES)
+def test_entrywise_square_roots_square_back(p, branch):
+    # the weight builder takes h^{1/2} entrywise, and the literal K omega0^{1/2} too
+    ctx = EvalContext.create(p, branch)
+    for a in (ctx.h, ctx.omega0):
+        root = np.sqrt(a)
+        assert np.max(np.abs(root @ root - a)) <= 4 * np.finfo(float).eps * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize(("p", "branch"), LITERAL_CASES)
+def test_weight_matrix_is_the_literal_product(p, branch):
+    # the 3- and 7-site balls
+    ctx = EvalContext.create(p, branch)
+    for n in (0, 1):
+        want = literal_weight(ctx, n)
+        assert np.max(np.abs(weight_matrix(ctx, n) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_both_weights_are_the_literal_product_on_a_generic_vertex(rng):
+    # every state's A is real and exactly symmetric under exchanging the children, so its weights cannot
+    # tell a swapped pair of children or a transposed conjugation step: a generic complex A can
+    uneven = BoundarySolution(branch=Branch.DISORDERED, h=np.diag([0.3, 1.7]).astype(complex),
+                              omega0=np.diag([0.4, 1.6]).astype(complex), residual=float("nan"))
+    ctx = EvalContext(params=ORDERED_POINT, solution=uneven)
+    object.__setattr__(ctx, "vertex", rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    for n in (0, 1):
+        want = literal_weight(ctx, n)
+        assert np.max(np.abs(weight_matrix(ctx, n) - want)) <= 1e-14 * np.max(np.abs(want))
+        inner, boundary = 2 ** (2 ** (n + 1) - 1), 2 ** (2 ** (n + 1))  # dims of the n-ball and of level n+1
+        traced = np.trace(want.reshape(inner, boundary, inner, boundary), axis1=1, axis2=3) / boundary
+        assert np.max(np.abs(reduced_weight(ctx, n) - traced)) <= 1e-14 * np.max(np.abs(traced))
 
 
 def test_weight_matrix_guard(ctx_plus):
@@ -658,7 +721,7 @@ def embedded_trace(w, n, obs):
     value, scale = 0j, 0.0
     for term in obs.terms:
         fmap = term.factor_map
-        emb = kron_chain([fmap.get(s, PAULI["I"]) for s in sites])
+        emb = functools.reduce(kron, [fmap.get(s, PAULI["I"]) for s in sites])
         value += term.coeff * np.einsum("ij,ji->", w, emb) / emb.shape[0]
         scale += abs(term.coeff) * np.einsum("ij,ji->", np.abs(w), np.abs(emb)).real / emb.shape[0]
     return complex(value), scale
@@ -753,6 +816,28 @@ def test_sparse_guard(ctx_plus):
         eval_sparse(ctx_plus, Observable.identity(), 3)
 
 
+@pytest.mark.parametrize(("beta", "oracle", "n"), [(60.0, eval_sparse, 2), (100.0, eval_bruteforce, 1),
+                                                   (100.0, eval_sparse, 1)])
+def test_oracles_refuse_a_weight_that_overflows(beta, oracle, n):
+    # the weight overflows to nan at low temperature, where the recursive route still answers
+    ctx = EvalContext.create(ModelParams(1.0, 0.3, beta), Branch.ORDERED_PLUS)
+    obs = marker_observable(1)
+    assert eval_recursive(ctx, obs) == pytest.approx(1.0, abs=1e-12)
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(DomainError, match=f"plus branch at j0=1.0, j=0.3, beta={beta}"):
+            oracle(ctx, obs, n)
+
+
+@pytest.mark.parametrize("branch", [Branch.ORDERED_PLUS, Branch.ORDERED_MINUS, Branch.DISORDERED])
+def test_oracles_answer_at_beta_40(branch):
+    # below the overflow, both oracles still agree with the recursive route at the 15- and 7-site balls
+    ctx = EvalContext.create(ModelParams(1.0, 0.3, 40.0), branch)
+    obs = marker_observable(1)
+    want = eval_recursive(ctx, obs)
+    assert abs(eval_sparse(ctx, obs, 2) - want) < 1e-14
+    assert abs(eval_bruteforce(ctx, obs, 1) - want) < 1e-14
+
+
 def test_context_refuses_a_boundary_that_is_not_psd():
     eye = np.eye(2, dtype=complex)
     for h, omega0 in (
@@ -790,19 +875,6 @@ def test_context_shares_the_solved_boundary():
         ctx = EvalContext.create(p, branch)
         assert ctx.solution is sol and ctx.h is sol.h and ctx.omega0 is sol.omega0
     assert EvalContext.create(p, Branch.DISORDERED).solution is solve_branch(p, Branch.DISORDERED)
-
-
-@pytest.mark.parametrize(
-    ("p", "branch"),
-    [(ModelParams(1.0, 0.3, 1.2), b) for b in (Branch.DISORDERED, Branch.ORDERED_PLUS, Branch.ORDERED_MINUS)]
-    + [(ModelParams(0.0, 0.3, 1.2), Branch.XY_ONLY)]
-    # beta = 60: h's two entries are e^{+-240} apart and omega0 grows like e^{240}
-    + [(ModelParams(1.0, 0.3, 60.0), b) for b in (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS)],
-)
-def test_entrywise_square_roots_square_back(p, branch):
-    ctx = EvalContext.create(p, branch)
-    for root, a in ((ctx.h_sqrt, ctx.h), (ctx.omega0_sqrt, ctx.omega0)):
-        assert np.max(np.abs(root @ root - a)) <= 4 * np.finfo(float).eps * np.max(np.abs(a))
 
 
 def test_compatibility_solved_and_corrupted(ctx_plus):
