@@ -18,7 +18,7 @@ import numpy as np
 
 from .boundary import Branch, delta_theta, ordered_sign, ordered_xi, phase_region_grid
 from .errors import DomainError, ModelInconsistencyError, ResourceLimitError, SingularParameterError
-from .model_ops import ModelParams, operator_coeffs, transfer_coeffs
+from .model_ops import ModelParams, TransferCoeffs, operator_coeffs, transfer_coeffs
 from .qmc_state import EvalContext, Observable, correlation, eval_recursive, relocate_observable
 from .tree import TreeCoord, ball_vertices
 
@@ -30,7 +30,10 @@ LIMIT_DEPTH = 24
 
 def lam(p: ModelParams) -> float:
     """The contraction eigenvalue C1/C3 - 1/2 shared by all level recursions."""
-    c = transfer_coeffs(p)
+    return _lam(transfer_coeffs(p))
+
+
+def _lam(c: TransferCoeffs) -> float:
     if c.c3 == 0:
         raise SingularParameterError("C3 = 0: level recursion undefined (j0 = 0)")
     return c.c1 / c.c3 - 0.5
@@ -73,15 +76,20 @@ class TransferSeries:
 
 
 def transfer_series(p: ModelParams) -> TransferSeries:
-    c = transfer_coeffs(p)
+    return _series(p, transfer_coeffs(p))
+
+
+def _series(p: ModelParams, c: TransferCoeffs, xi3: float | None = None) -> TransferSeries:
+    """transfer_series from the point's coefficients c, and its xi3 if the caller holds it."""
     den = 3 * c.c3 - 2 * c.c1
     if c.c3 == 0 or abs(den) < 1e-14:
         raise SingularParameterError(f"degenerate series denominators (C3={c.c3!r}, 3C3-2C1={den!r})")
-    _, xi3 = ordered_xi(p)
+    if xi3 is None:
+        _, xi3 = ordered_xi(p, c)
     rho1_hat = c.c3**2 / den
     rho2_hat = 2 * c.c3 * (c.c3 - c.c1) / den
     rho1_check = 2 * c.c2 * c.c3**2 * xi3 / den
-    return TransferSeries(rho1_hat=rho1_hat, rho2_hat=rho2_hat, rho1_check=rho1_check, lam=lam(p))
+    return TransferSeries(rho1_hat=rho1_hat, rho2_hat=rho2_hat, rho1_check=rho1_check, lam=_lam(c))
 
 
 def series_matrix(p: ModelParams, branch: Branch) -> np.ndarray:
@@ -158,26 +166,31 @@ def projector_limit_scan(j0: float, j: float, n: int, betas: list[float]) -> lis
     return rows
 
 
-def _marker_coeffs(p: ModelParams, branch: Branch) -> tuple[float, float]:
-    """(constant, lam-coefficient) of the closed marker expectation."""
+def _marker_coeffs(p: ModelParams, branch: Branch) -> tuple[float, float, float]:
+    """(constant, lam-coefficient, lam) of the closed marker expectation.
+
+    Reads the transfer coefficients and the ordered constants once each.
+    """
     c = transfer_coeffs(p)
-    xi0, xi3 = _signed_xi(p, branch)
-    ts = transfer_series(p)
+    xi0, xi3 = ordered_xi(p, c)
+    sign = ordered_sign(branch)
+    ts = _series(p, c, xi3)
+    xi3 = sign * xi3
     edge, drift = xi0 + xi3, c.c1 * xi0 + c.c2 * xi3
-    v1 = ordered_sign(branch) * ts.rho1_check  # the check series is r - r lam^n
+    v1 = sign * ts.rho1_check  # the check series is r - r lam^n
     const = (edge * drift * ts.rho1_hat + (c.c3 / 2) * edge**2 * v1) / 2
     coeff = (edge * drift * ts.rho2_hat + (c.c3 / 2) * edge**2 * (-v1)) / 2
     if not (math.isfinite(const) and math.isfinite(coeff)):
         raise DomainError(f"marker constants overflow a float at {p}: ({const!r}, {coeff!r})")
-    return const, coeff
+    return const, coeff, ts.lam
 
 
 def marker_expectation_closed(p: ModelParams, n: int, branch: Branch) -> float:
     """Closed form of the single-marker expectation, affine in lam^(n-1)."""
     if n < 1:
         raise DomainError(f"marker depth must be >= 1, got {n}")
-    const, coeff = _marker_coeffs(p, branch)
-    return const + coeff * lam(p) ** (n - 1)
+    const, coeff, lam_ = _marker_coeffs(p, branch)
+    return const + coeff * lam_ ** (n - 1)
 
 
 @dataclass(frozen=True)
@@ -196,8 +209,8 @@ def quasi_gap(p: ModelParams) -> QuasiGap:
     """Constants of the marker-gap bound in the regime J in (-J0, J0), Delta > 0."""
     if not (abs(p.j) < p.j0):
         raise DomainError(f"gap bound needs J in (-J0, J0), got j={p.j}, j0={p.j0}")
-    const_p, coeff_p = _marker_coeffs(p, Branch.ORDERED_PLUS)
-    const_m, coeff_m = _marker_coeffs(p, Branch.ORDERED_MINUS)
+    const_p, coeff_p, _ = _marker_coeffs(p, Branch.ORDERED_PLUS)
+    const_m, coeff_m, _ = _marker_coeffs(p, Branch.ORDERED_MINUS)
     i1 = abs(const_p - const_m)
     i2 = abs(coeff_p - coeff_m)
     c = transfer_coeffs(p)

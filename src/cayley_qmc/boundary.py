@@ -28,10 +28,10 @@ from .errors import (
     SolutionNotPositiveError,
     ThresholdOverflowError,
 )
-from .linalg import normalized_trace
 from .model_ops import (
     PAULI,
     ModelParams,
+    TransferCoeffs,
     transfer_coeffs,
     transfer_coeffs_numeric,
     vertex_channel,
@@ -219,6 +219,11 @@ def fixed_point_residual(p: ModelParams, h: np.ndarray) -> float:
     return float(np.linalg.norm(vertex_channel(a, PAULI["I"], h, h) - h))
 
 
+def _diagonal(d0: float, d1: float) -> np.ndarray:
+    """The complex 2x2 matrix diag(d0, d1)."""
+    return np.array([[d0, 0], [0, d1]], dtype=complex)
+
+
 def _solution(p: ModelParams, branch: Branch, h: np.ndarray, omega0: np.ndarray, **fields) -> BoundarySolution:
     # relative for small h: at low temperature h ~ e^{-4 j0 beta}, and an absolute
     # bound would pass any h that small
@@ -228,7 +233,9 @@ def _solution(p: ModelParams, branch: Branch, h: np.ndarray, omega0: np.ndarray,
         raise ModelInconsistencyError(
             f"{branch.value} branch residual {residual:.3e} exceeds {RESIDUAL_TOL:g} min(1, |h|) = {bound:.3e}"
         )
-    eq1 = abs(normalized_trace(omega0 @ h) - 1)
+    (w0, _), (_, w1) = omega0.tolist()
+    (h0, _), (_, h1) = h.tolist()
+    eq1 = abs((w0 * h0 + w1 * h1) / 2 - 1)  # Tr(omega0 h), normalized, of two diagonal matrices
     if eq1 > 1e-14:
         raise ModelInconsistencyError(f"{branch.value} branch violates the normalization: |Tr(w0 h)-1| = {eq1:.3e}")
     h.setflags(write=False)
@@ -236,18 +243,19 @@ def _solution(p: ModelParams, branch: Branch, h: np.ndarray, omega0: np.ndarray,
     return BoundarySolution(branch=branch, h=h, omega0=omega0, residual=residual, **fields)
 
 
-def ordered_xi(p: ModelParams) -> tuple[float, float]:
+def ordered_xi(p: ModelParams, coeffs: TransferCoeffs | None = None) -> tuple[float, float]:
     """The ordered constants xi0 = 1/C3 and xi3 = sqrt(Delta)/C3, by arithmetic alone.
 
     Refuses Delta <= 0 (no ordered phase) and C3 <= 0 (j0 <= 0) with a
     DomainError, and an indefinite pair (xi3 > xi0, the |J| > J0 regime) with
     SolutionNotPositiveError.  Builds no operator; solve_branch checks the
-    resulting states numerically.
+    resulting states numerically.  A caller that holds transfer_coeffs(p)
+    passes it as coeffs, so it is not computed again.
     """
     delta = delta_theta(p)
     if delta <= 0:
         raise DomainError(f"no ordered phase: Delta(theta) = {delta!r} <= 0 at {p}")
-    c = transfer_coeffs(p)
+    c = transfer_coeffs(p) if coeffs is None else coeffs
     if c.c3 <= 0:
         raise DomainError(
             f"ordered solutions need j0 > 0 (C3 = {c.c3!r}); at j0 = 0 only the XY-only branch exists"
@@ -287,7 +295,6 @@ def solve_branch(p: ModelParams, branch: Branch) -> BoundarySolution:
     """
     if not isinstance(branch, Branch):
         raise DomainError(f"branch must be a Branch, got {branch!r}")
-    eye = np.eye(2, dtype=complex)
     if branch is Branch.DISORDERED:
         alpha = 1 / transfer_coeffs(p).c1
     elif branch is Branch.XY_ONLY:
@@ -296,9 +303,10 @@ def solve_branch(p: ModelParams, branch: Branch) -> BoundarySolution:
         alpha = 1 / transfer_coeffs_numeric(p).c1
     else:
         xi0, xi3 = ordered_xi(p)
-        h = xi0 * eye + ordered_sign(branch) * xi3 * PAULI["Z"]
-        return _solution(p, branch, h, (1 / xi0) * eye, xi0=xi0, xi3=xi3)
-    return _solution(p, branch, alpha * eye, (1 / alpha) * eye, alpha=alpha)
+        signed = ordered_sign(branch) * xi3
+        h, w = _diagonal(xi0 + signed, xi0 - signed), 1 / xi0
+        return _solution(p, branch, h, _diagonal(w, w), xi0=xi0, xi3=xi3)
+    return _solution(p, branch, _diagonal(alpha, alpha), _diagonal(1 / alpha, 1 / alpha), alpha=alpha)
 
 
 def solve_ordered(p: ModelParams) -> tuple[BoundarySolution, BoundarySolution] | None:

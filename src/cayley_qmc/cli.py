@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,28 +50,72 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _json_float(x) -> str:
+    return fmt(x) if math.isfinite(x) else "null"
+
+
+# The exact types of most nodes, rendered without the isinstance chain of _render
+_LEAVES = {
+    float: _json_float,
+    str: encode_basestring_ascii,  # what json.dumps returns for a str
+    int: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with .17g floats (non-finite floats become null)."""
-    pad, inner = "  " * indent, "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(k)}: {render_json(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, complex):
-        return render_json([obj.real, obj.imag], indent)
-    return json.dumps(obj)
+    """Deterministic JSON with .17g floats (non-finite floats become null), two spaces per level.
+
+    One pass over the document: every node appends its text to one list,
+    which is joined once.  Dicts and lists open a line per item; an empty
+    one is {} or []; a tuple is a list and a complex number the list
+    [real, imag]; ints (numpy's too) print as ints, bools and None as
+    true, false and null, and strings and keys as json.dumps writes them.
+    """
+    out: list[str] = []
+    _render(obj, "\n" + "  " * indent, out)
+    return "".join(out)
+
+
+def _render(obj, pad: str, out: list[str]) -> None:
+    """Append obj's text to out; pad is a newline and the indent of obj's own line."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
+    elif isinstance(obj, dict):
+        keys = [(encode_basestring_ascii(k) if isinstance(k, str) else json.dumps(k)) + ": " for k in obj]
+        _render_items(keys, obj.values(), "{}", pad, out)
+    elif isinstance(obj, (list, tuple)):
+        _render_items(itertools.repeat(""), obj, "[]", pad, out)
+    elif isinstance(obj, bool) or obj is None:
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_json_float(obj))
+    elif isinstance(obj, complex):
+        _render([obj.real, obj.imag], pad, out)
+    else:
+        out.append(json.dumps(obj))
+
+
+def _render_items(keys, values, brackets: str, pad: str, out: list[str]) -> None:
+    """A dict's or a list's items, one line each; a key is its text and ": ", a list item's is ""."""
+    if not values:
+        out.append(brackets)
+        return
+    inner = pad + "  "
+    sep = brackets[0] + inner
+    for key, v in zip(keys, values):
+        out.append(sep + key)
+        leaf = _LEAVES.get(type(v))
+        if leaf is None:
+            _render(v, inner, out)
+        else:
+            out.append(leaf(v))
+        sep = "," + inner
+    out.append(pad + brackets[1])
 
 
 def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -163,10 +209,12 @@ def _table(args, header: Sequence[str], rows: Iterable[Mapping], **doc) -> str |
 
 
 def _branch_doc(sol: BoundarySolution) -> dict:
+    (h0, _), (_, h1) = sol.h.tolist()
+    (w0, _), (_, w1) = sol.omega0.tolist()
     return {
         "branch": sol.branch.value,
-        "h": [float(sol.h[0, 0].real), float(sol.h[1, 1].real)],
-        "omega0": [float(sol.omega0[0, 0].real), float(sol.omega0[1, 1].real)],
+        "h": [h0.real, h1.real],
+        "omega0": [w0.real, w1.real],
         "xi0": sol.xi0,
         "xi3": sol.xi3,
         "alpha": sol.alpha,

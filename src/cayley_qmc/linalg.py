@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 
 HERMITICITY_TOL = 1e-12
-_LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp is a finite double
+LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp is a finite double
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -42,7 +42,7 @@ def normalized_trace(a: np.ndarray) -> complex:
 
 def _require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    dev = np.max(np.abs(a - dagger(a))) if a.size else 0.0
+    dev = np.abs(a - a.conj().T).max() if a.size else 0.0
     if dev > tol:
         raise DomainError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
     return a
@@ -55,7 +55,7 @@ def herm_exp(a: np.ndarray) -> np.ndarray:
     """
     a = _require_hermitian(a)
     w, v = np.linalg.eigh(a)
-    if w.size and w[-1] > _LOG_MAX:  # eigh sorts w ascending
+    if w.size and w[-1] > LOG_MAX:  # eigh sorts w ascending
         raise OverflowError("math range error")
     out = (v * np.exp(w)) @ dagger(v)
     return (out + dagger(out)) / 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelInconsistencyError
-from .linalg import dagger, herm_exp, kron
+from .linalg import LOG_MAX, dagger, herm_exp, kron
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -84,24 +84,36 @@ class XYOnlyCoeffs:
     r3: float
 
 
-def ising_generator() -> np.ndarray:
-    """The aligned-pair projection (1x1 + sz sz)/2 on a bond."""
-    return (kron(PAULI["I"], PAULI["I"]) + kron(PAULI["Z"], PAULI["Z"])) / 2
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def xy_generator() -> np.ndarray:
-    """The sibling coupling (sx sx + sy sy)/2."""
-    return (kron(PAULI["X"], PAULI["X"]) + kron(PAULI["Y"], PAULI["Y"])) / 2
+# The two bond generators, read-only and shared as the Pauli strings below are:
+# the aligned-pair projection (1x1 + sz sz)/2, which is diagonal, and the
+# sibling coupling (sx sx + sy sy)/2.
+ISING_GENERATOR = _read_only((kron(PAULI["I"], PAULI["I"]) + kron(PAULI["Z"], PAULI["Z"])) / 2)
+XY_GENERATOR = _read_only((kron(PAULI["X"], PAULI["X"]) + kron(PAULI["Y"], PAULI["Y"])) / 2)
+_ISING_DIAGONAL = _read_only(ISING_GENERATOR.diagonal().real.copy())
 
 
 def ising_bond(p: ModelParams) -> np.ndarray:
-    """K on (parent, child): exp(j0*beta*H) via the Hermitian exponential."""
-    return herm_exp(p.j0 * p.beta * ising_generator())
+    """K on (parent, child): exp(j0*beta*H), H = ISING_GENERATOR.
+
+    H is diagonal, so K is the entrywise exponential of its diagonal, which
+    is exactly what herm_exp returns for it (the tests compare the bytes)
+    without an eigendecomposition.  An exponent beyond a float raises
+    OverflowError, as math.exp does.
+    """
+    x = p.j0 * p.beta
+    if x > LOG_MAX:
+        raise OverflowError("math range error")
+    return np.diag(np.exp(x * _ISING_DIAGONAL)).astype(complex)
 
 
 def xy_bond(p: ModelParams) -> np.ndarray:
-    """L on a sibling pair: exp(j*beta*H_xy)."""
-    return herm_exp(p.j * p.beta * xy_generator())
+    """L on a sibling pair: exp(j*beta*H_xy) via the Hermitian exponential, H_xy = XY_GENERATOR."""
+    return herm_exp(p.j * p.beta * XY_GENERATOR)
 
 
 def operator_coeffs(p: ModelParams) -> OperatorCoeffs:
@@ -132,7 +144,7 @@ def ising_bond_closed(p: ModelParams) -> np.ndarray:
 
 def xy_bond_closed(p: ModelParams) -> np.ndarray:
     """Closed form 1 + sinh(j beta) H + (cosh(j beta) - 1) H^2 of the XY bond."""
-    h = xy_generator()
+    h = XY_GENERATOR
     jb = p.j * p.beta
     return np.eye(4, dtype=complex) + math.sinh(jb) * h + (math.cosh(jb) - 1) * (h @ h)
 
@@ -150,7 +162,7 @@ def vertex_operator(p: ModelParams) -> np.ndarray:
     bond = ising_bond(p)
     eye = PAULI["I"]
     k1 = kron(bond, eye)
-    k2 = _swap_middle(kron(bond, eye))
+    k2 = _swap_middle(k1)
     l12 = kron(eye, xy_bond(p))
     with np.errstate(over="ignore", invalid="ignore"):
         a = k1 @ k2 @ l12
@@ -169,9 +181,7 @@ def _swap_middle(a: np.ndarray) -> np.ndarray:
 def _pauli_string(axes: str) -> np.ndarray:
     """The read-only 3-site Pauli string on (parent, child 1, child 2), e.g. "IXX"."""
     a, b, c = (PAULI[axis] for axis in axes)
-    s = kron(kron(a, b), c)
-    s.setflags(write=False)
-    return s
+    return _read_only(kron(kron(a, b), c))
 
 
 _III, _IXX, _IYY, _IZZ, _ZIZ, _ZZI = map(_pauli_string, ("III", "IXX", "IYY", "IZZ", "ZIZ", "ZZI"))
@@ -209,12 +219,13 @@ def transfer_coeffs(p: ModelParams) -> TransferCoeffs:
 
 
 def _extract_diagonal(mat: np.ndarray, label: str) -> tuple[float, float]:
-    off = max(abs(mat[0, 1]), abs(mat[1, 0]))
-    imag = max(abs(mat[0, 0].imag), abs(mat[1, 1].imag))
-    scale = max(1.0, abs(mat[0, 0]), abs(mat[1, 1]))
+    (d0, off01), (off10, d1) = mat.tolist()
+    off = max(abs(off01), abs(off10))
+    imag = max(abs(d0.imag), abs(d1.imag))
+    scale = max(1.0, abs(d0), abs(d1))
     if max(off, imag) > EXTRACTION_TOL * scale:
         raise ModelInconsistencyError(f"{label}: non-diagonal response (off-diagonal {off:.3e}, imag {imag:.3e})")
-    return float(mat[0, 0].real), float(mat[1, 1].real)
+    return d0.real, d1.real
 
 
 def transfer_coeffs_numeric(p: ModelParams) -> TransferCoeffs:

@@ -9,8 +9,10 @@ Two routes coexist on purpose:
   boundary level (weight_matrix, up to 7 sites, the two-level ball).
   eval_sparse traces each boundary pair out as soon as no later factor
   acts on it (reduced_weight, Tr_{level n+1}(K*K)), so it reaches the
-  three-level ball (15 sites) with nothing larger than 128x128.  The
-  literal K, built factor by factor, is the tests' reference;
+  three-level ball (15 sites) with nothing larger than 128x128.  Where low
+  temperature overflows the conjugations but not the weight, the builder
+  runs again with exact power-of-two scaling.  The literal K, built factor
+  by factor, is the tests' reference;
 * a recursive level-by-level contraction through the per-vertex conditional
   expectation, valid at any depth.
 
@@ -29,11 +31,12 @@ with sandwiching h^{1/2} directly at level m.  The vertex operator A is
 block-diagonal in its vertex's own sz, so the per-vertex channel keeps each
 entry of the vertex's factor where it is: it is the 4x4x4 tensor M of the
 children's inputs per output entry, nonzero at six child pairs each.  Those
-24 entries, its leaf vector g (both children h) and its spine map S (the
-channel of a factor-free vertex with one child in the support, a chain
-vertex, on the two diagonal entries alone) are built once per context as
-Python complex numbers (channel_tensor).  A product term is then evaluated
-in two parts:
+24 entries depend on the parameters alone and are built once per point,
+shared by every context of it; its leaf vector g (both children h) and its
+spine map S (the channel of a factor-free vertex with one child in the
+support, a chain vertex, on the two diagonal entries alone) are built once
+per context from h's two diagonal entries, all as Python complex numbers
+(channel_tensor).  A product term is then evaluated in two parts:
 
 * a plan, which depends only on the term and is built on its first
   evaluation and kept on the (immutable) term: one flat tuple of ops in
@@ -55,6 +58,8 @@ witnesses do, therefore repeats only the replay.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -88,9 +93,11 @@ class ObservableTerm:
     factors: tuple[tuple[TreeCoord, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        sites = [s for s, _ in self.factors]
-        if len(set(sites)) != len(sites):
-            raise DomainError("term factors must sit on distinct sites")
+        single = len(self.factors) == 1  # one site cannot repeat, and one copy has four entries to test
+        if not single:
+            sites = [s for s, _ in self.factors]
+            if len(set(sites)) != len(sites):
+                raise DomainError("term factors must sit on distinct sites")
         copies: dict[int, np.ndarray] = {}  # id of an input array -> its read-only copy
         factors = []
         for site, m in self.factors:
@@ -102,7 +109,8 @@ class ObservableTerm:
                 a.setflags(write=False)
             factors.append((site, a))
         # one test per term: no kernel and no oracle may see an inf or a nan
-        if not np.isfinite(tuple(copies.values())).all():
+        finite = all(map(cmath.isfinite, a.ravel().tolist())) if single else np.isfinite(tuple(copies.values())).all()
+        if not finite:
             raise DomainError("an observable factor has an entry that is not finite")
         object.__setattr__(self, "coeff", complex(self.coeff))
         object.__setattr__(self, "factors", tuple(factors))
@@ -230,11 +238,11 @@ def multiply_observables(a: Observable, b: Observable) -> Observable:
 def _diagonal_boundary(a: np.ndarray, name: str) -> np.ndarray:
     """The boundary matrix as complex, refused unless 2x2 diagonal with real nonnegative entries."""
     a = np.asarray(a, dtype=complex)
-    # scalar tests: a nan entry fails every comparison, so it is refused
-    if a.shape != (2, 2) or not (
-        a[0, 1] == 0 and a[1, 0] == 0 and a[0, 0].imag == 0 and a[1, 1].imag == 0
-        and a[0, 0].real >= 0 and a[1, 1].real >= 0
-    ):
+    ok = a.shape == (2, 2)
+    if ok:  # scalar tests on the entries as Python complexes: a nan entry fails every comparison, so it is refused
+        (d0, off01), (off10, d1) = a.tolist()
+        ok = off01 == 0 and off10 == 0 and d0.imag == 0 and d1.imag == 0 and d0.real >= 0 and d1.real >= 0
+    if not ok:
         raise DomainError(f"boundary {name} must be diagonal with real nonnegative entries, got {a.tolist()}")
     return a
 
@@ -289,9 +297,12 @@ def _outward_weight(ctx: EvalContext, n: int, reduce: bool) -> np.ndarray:
     With reduce, each level-n vertex's two boundary children are traced out
     (normalized) right away, which is exact because no later factor acts on
     them; nothing uses the fixed point.  Each step is a small superoperator
-    on x's slot.  Refuses a result beyond 7 sites (128x128), and a weight
-    that is not finite, as low temperature overflows it, with a DomainError.
-    Cached on the context per depth and form.
+    on x's slot (_conjugate_outward).  At low temperature omega0 and A are
+    huge and h tiny, so the steps can overflow a float although the weight
+    they end in does not: where the plain build is not finite, it runs again
+    with power-of-two scaling, and only a finished weight that overflows is
+    refused, with a DomainError.  Refuses a result beyond 7 sites (128x128)
+    with a ResourceLimitError.  Cached on the context per depth and form.
     """
     if n < 0:
         raise DomainError(f"depth must be >= 0, got {n}")
@@ -301,33 +312,71 @@ def _outward_weight(ctx: EvalContext, n: int, reduce: bool) -> np.ndarray:
     key = ("reduced_weight" if reduce else "weight", n)
     if key in ctx._cache:
         return ctx._cache[key]
-    h_sqrt = np.sqrt(ctx.h)
-    a = ctx.vertex.reshape(2, 4, 8)
-    a_h = (ctx.vertex @ kron(PAULI["I"], kron(h_sqrt, h_sqrt))).reshape(2, 4, 8)
     with np.errstate(over="ignore", invalid="ignore"):  # a weight beyond a float is refused below
-        step = np.einsum("aip,biq->abpq", a.conj(), a).reshape((2,) * 8)
-        if reduce:  # x's slot (a, b) -> (p, q), its two children traced out
-            b = a_h.reshape(2, 4, 2, 4)
-            last = np.einsum("aipc,biqc->abpq", b.conj(), b) / 4
-        else:
-            last = np.einsum("aip,biq->abpq", a_h.conj(), a_h).reshape((2,) * 8)
-        x, m = ctx.omega0, 1  # the weight as a tensor on its m sites, rows then columns
-        for p in range(2 ** (n + 1) - 1):  # every vertex of the n-ball, in ball order
-            t = step if p < 2**n - 1 else last
-            x = np.tensordot(x, t, axes=([p, m + p], [0, 1]))
-            if t.ndim == 4:  # a reduced level-n vertex: its children are traced out
-                x = np.moveaxis(x, [-2, -1], [p, m + p])
-            else:
-                x = np.moveaxis(x, range(-6, 0), [p, m, m + 1, m + 2 + p, 2 * m + 2, 2 * m + 3])
-                m += 2
-        w = x.reshape(2**m, 2**m)
+        w = _conjugate_outward(ctx, n, reduce, rescale=False)
         if not np.isfinite(w).all():
-            raise DomainError(
-                f"the weight of the {2 ** (n + 2) - 1}-site ball overflows a float on the "
-                f"{ctx.solution.branch.value} branch at j0={ctx.params.j0}, j={ctx.params.j}, beta={ctx.params.beta}"
-            )
+            w = _conjugate_outward(ctx, n, reduce, rescale=True)
+    if not np.isfinite(w).all():
+        raise DomainError(
+            f"the weight of the {2 ** (n + 2) - 1}-site ball overflows a float on the "
+            f"{ctx.solution.branch.value} branch at j0={ctx.params.j0}, j={ctx.params.j}, beta={ctx.params.beta}"
+        )
     ctx._cache[key] = w
     return w
+
+
+def _conjugate_outward(ctx: EvalContext, n: int, reduce: bool, rescale: bool) -> np.ndarray:
+    """_outward_weight's conjugations, from omega0 through every vertex of the n-ball.
+
+    With rescale, A, A (1 x h^{1/2} x h^{1/2}) and omega0 enter divided by
+    powers of two that bring their largest entries into [1/2, 1), and so
+    does the running tensor after every vertex; the powers, summed,
+    multiply the finished weight.  Scaling by a power of two is exact
+    barring underflow, so the weight is the one a float with an unbounded
+    exponent would give the plain build.  Without rescale it is the plain
+    build, whose bits every finite weight keeps.
+    """
+    h_sqrt = np.sqrt(ctx.h)
+    a, x, exponent = ctx.vertex, ctx.omega0, 0  # the weight is x 2^exponent
+    if rescale:
+        (a, a_exponent), (x, exponent) = _normalized(a), _normalized(x)
+    a_h = a @ kron(PAULI["I"], kron(h_sqrt, h_sqrt))
+    if rescale:
+        a_h, h_exponent = _normalized(a_h)
+        # each vertex multiplies in its B* and B: 2^n - 1 inner vertices A, 2^n level-n ones A (1 x h^1/2 x h^1/2)
+        exponent += 2 * a_exponent * (2 ** (n + 1) - 1) + 2 * h_exponent * 2**n
+    a, a_h = a.reshape(2, 4, 8), a_h.reshape(2, 4, 8)
+    step = np.einsum("aip,biq->abpq", a.conj(), a).reshape((2,) * 8)
+    if reduce:  # x's slot (a, b) -> (p, q), its two children traced out
+        b = a_h.reshape(2, 4, 2, 4)
+        last = np.einsum("aipc,biqc->abpq", b.conj(), b) / 4
+    else:
+        last = np.einsum("aip,biq->abpq", a_h.conj(), a_h).reshape((2,) * 8)
+    m = 1  # the weight as a tensor on its m sites, rows then columns
+    for p in range(2 ** (n + 1) - 1):  # every vertex of the n-ball, in ball order
+        t = step if p < 2**n - 1 else last
+        x = np.tensordot(x, t, axes=([p, m + p], [0, 1]))
+        if t.ndim == 4:  # a reduced level-n vertex: its children are traced out
+            x = np.moveaxis(x, [-2, -1], [p, m + p])
+        else:
+            x = np.moveaxis(x, range(-6, 0), [p, m, m + 1, m + 2 + p, 2 * m + 2, 2 * m + 3])
+            m += 2
+        if rescale:
+            x, e = _normalized(x)
+            exponent += e
+    w = x.reshape(2**m, 2**m)
+    return _ldexp(w, exponent) if rescale else w
+
+
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """x times 2^e, on the real and imaginary parts alike: exact barring overflow and underflow."""
+    return np.ldexp(np.ascontiguousarray(x).view(np.float64), e).view(complex)
+
+
+def _normalized(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x 2^-e, e), the power of two e bringing x's largest entry into [1/2, 1)."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    return _ldexp(x, -e), e
 
 
 def weight_matrix(ctx: EvalContext, n: int) -> np.ndarray:
@@ -392,6 +441,34 @@ def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
 
 
 _PAIRS = ((0, 0), (0, 3), (1, 2), (2, 1), (3, 0), (3, 3))  # M's charge-conserving child pairs (b, c), in einsum's order
+# the block columns of each pair: child 1's (b, b') and child 2's (c, c') as the inputs bc and b'c'
+_PAIR_COLUMNS = tuple((2 * (b >> 1) + (c >> 1), 2 * (b & 1) + (c & 1)) for b, c in _PAIRS)
+
+
+@functools.lru_cache(maxsize=256)
+def _channel_table(p: ModelParams) -> tuple[tuple[complex, ...], ...]:
+    """M's 24 entries, one row of six per output entry (channel_tensor), as Python complexes.
+
+    M is A's alone, so it is built once per (frozen) parameter set, with the
+    same bound as vertex_operator's memo, and every context of the point
+    shares the one table.  Each entry sums its four products over the
+    children's outputs onto 0j and divides by 4, in Python complex
+    arithmetic, with the order and rounding of the einsum "pib,qic->pqbc"
+    over A's blocks (the tests compare it with the six-index einsum bit for
+    bit).  A refusal (an A that overflows) is not cached.
+    """
+    # A's two diagonal blocks A[p, ij, p, bc], as rows ij of the children's
+    # outputs by columns bc of their inputs, and each block's conjugate
+    v = vertex_operator(p).reshape(2, 4, 2, 4)
+    blocks = v[0, :, 0, :].tolist(), v[1, :, 1, :].tolist()
+    conj = [[[z.conjugate() for z in row] for row in block] for block in blocks]
+    table = []
+    for a, b in itertools.product(blocks, conj):  # the output entries (p, q) in row-major order
+        table.append(tuple(
+            (0j + a[0][x] * b[0][y] + a[1][x] * b[1][y] + a[2][x] * b[2][y] + a[3][x] * b[3][y]) / 4
+            for x, y in _PAIR_COLUMNS
+        ))
+    return tuple(table)
 
 
 def channel_tensor(ctx: EvalContext) -> tuple[tuple, ...]:
@@ -408,7 +485,9 @@ def channel_tensor(ctx: EvalContext) -> tuple[tuple, ...]:
     is the output entry (p,q) per unit of that root entry, given the flattened
     2x2 inputs of child 1 and child 2.  M conserves sz charge,
     (b - b') + (c - c') = 0, so it is nonzero only at the six child pairs
-    _PAIRS, where the table keeps it, one row per output entry.
+    _PAIRS, where the table keeps it, one row per output entry.  The table
+    depends on the parameters alone: it is built once per point
+    (_channel_table) and every context of the point shares it.
     g[o] = sum_bc M[o,b,c] h[b] h[c] is the vertex whose subtrees the
     observable does not touch (its leaf vector).  The spine map, M with the
     identity on the root and h on child 2, maps the value of the one touched
@@ -416,21 +495,26 @@ def channel_tensor(ctx: EvalContext) -> tuple[tuple, ...]:
     its rows and columns 0 and 3 are nonzero, and S holds those four entries
     (s00, s03, s30, s33).  The tests check each of these zeros exactly.  A is
     exactly symmetric under exchanging the children, so S serves a touched
-    child 2 as well.  Returns (M's table, g, S, h, omega0's diagonal), all
-    Python complexes; built on first use and cached on the context.
+    child 2 as well.  h is diagonal, so g and S are sums over h's two
+    diagonal entries h0 and h3, taken in Python complex arithmetic in the
+    order and with the rounding of the einsums "obc,b,c->o" and
+    "obc,o,c->ob" (the identity's entry multiplies in as they multiply it);
+    each term they add beyond these is an exact 0.  Returns (M's table, g,
+    S, h, omega0's diagonal), all Python complexes; built on first use and
+    cached on the context.
     """
     if "channel" not in ctx._cache:
-        # A as (parent p, children ij, root input a, children's inputs bc); its
-        # two diagonal blocks a = p, then (p, q, b, c, b', c') reordered to (p, q, b, b', c, c')
-        v = ctx.vertex.reshape(2, 4, 2, 4)
-        ad = np.stack((v[0, :, 0, :], v[1, :, 1, :]))
-        pq = np.einsum("pib,qic->pqbc", ad, ad.conj()).reshape((2,) * 6)
-        m = pq.transpose(0, 1, 2, 4, 3, 5).reshape(4, 4, 4) / 4
-        eye, h = PAULI["I"].reshape(4), ctx.h.reshape(4)
-        spine = np.einsum("obc,o,c->ob", m, eye, h)[[0, 0, 3, 3], [0, 3, 0, 3]]  # rows and columns 1 and 2 are 0
-        b, c = zip(*_PAIRS)
-        tables = np.einsum("obc,b,c->o", m, h, h), spine, h, ctx.omega0.diagonal()
-        ctx._cache["channel"] = (tuple(map(tuple, m[:, b, c].tolist())), *(tuple(t.tolist()) for t in tables))
+        m = _channel_table(ctx.params)
+        (h0, _), (_, h3) = h = ctx.h.tolist()
+        one = 1 + 0j
+        r0, r3 = m[0], m[3]  # S's rows: the output entries 0 and 3, at the pairs (0|3, 0|3)
+        ctx._cache["channel"] = (
+            m,
+            tuple(0j + r[0] * h0 * h0 + r[1] * h0 * h3 + r[4] * h3 * h0 + r[5] * h3 * h3 for r in m),
+            tuple(0j + r[i] * one * h0 + r[i + 1] * one * h3 for r in (r0, r3) for i in (0, 4)),
+            (*h[0], *h[1]),
+            tuple(ctx.omega0.diagonal().tolist()),
+        )
     return ctx._cache["channel"]
 
 

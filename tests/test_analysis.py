@@ -23,7 +23,7 @@ from cayley_qmc.analysis import (
     series_matrix,
     transfer_series,
 )
-from cayley_qmc.boundary import Branch, dd_threshold, delta_theta, phase_region, solve_ordered
+from cayley_qmc.boundary import Branch, dd_threshold, delta_theta, ordered_sign, ordered_xi, phase_region, solve_ordered
 from cayley_qmc.errors import DomainError, ModelInconsistencyError, SingularParameterError
 from cayley_qmc.model_ops import ModelParams, operator_coeffs, transfer_coeffs, vertex_channel
 from cayley_qmc.qmc_state import EvalContext, Observable, eval_recursive
@@ -164,8 +164,35 @@ def test_marker_closed_matches_evaluation():
                 assert closed == pytest.approx(eval_recursive(ctx, marker_observable(n)).real, abs=1e-11)
 
 
+def composed_marker_closed(p, n, branch):
+    """The closed marker from the public pieces, each computing its inputs again: the reference for its bits."""
+    c = transfer_coeffs(p)
+    xi0, xi3 = ordered_xi(p)
+    xi3 = ordered_sign(branch) * xi3
+    ts = transfer_series(p)
+    edge, drift = xi0 + xi3, c.c1 * xi0 + c.c2 * xi3
+    v1 = ordered_sign(branch) * ts.rho1_check
+    const = (edge * drift * ts.rho1_hat + (c.c3 / 2) * edge**2 * v1) / 2
+    coeff = (edge * drift * ts.rho2_hat + (c.c3 / 2) * edge**2 * (-v1)) / 2
+    return const + coeff * lam(p) ** (n - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.1, 2.0), st.floats(-0.95, 0.95), st.floats(0.1, 30.0), st.integers(1, 40))
+def test_marker_closed_reads_its_inputs_once_bit_for_bit(j0, ratio, beta, n):
+    p = ModelParams(j0, j0 * ratio, beta)
+    for branch in (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS):
+        try:
+            want = composed_marker_closed(p, n, branch)
+        except DomainError as exc:
+            with pytest.raises(type(exc)):
+                marker_expectation_closed(p, n, branch)
+            continue
+        assert marker_expectation_closed(p, n, branch).hex() == want.hex()
+
+
 def test_marker_tends_to_its_constant():
-    const, _ = analysis._marker_coeffs(POINT, Branch.ORDERED_PLUS)
+    const, _, _ = analysis._marker_coeffs(POINT, Branch.ORDERED_PLUS)
     tail = [abs(marker_expectation_closed(POINT, n, Branch.ORDERED_PLUS) - const) for n in (2, 4, 6, 8)]
     assert all(a > b for a, b in zip(tail, tail[1:]))
 

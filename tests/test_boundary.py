@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_qmc.boundary import (
     Branch,
@@ -11,6 +13,7 @@ from cayley_qmc.boundary import (
     delta_theta,
     fixed_point_residual,
     ordered_sign,
+    ordered_xi,
     phase_region,
     phase_region_grid,
     solve_branch,
@@ -25,7 +28,7 @@ from cayley_qmc.errors import (
     ThresholdOverflowError,
 )
 from cayley_qmc.linalg import normalized_trace
-from cayley_qmc.model_ops import ModelParams, transfer_coeffs, vertex_operator
+from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs, vertex_operator
 
 
 def test_delta_boundary_point():
@@ -240,6 +243,26 @@ def test_fixed_point_check_is_relative_for_small_h():
         _solution(p, Branch.DISORDERED, 1e-100 * eye, 1e100 * eye)
     sol = solve_branch(p, Branch.DISORDERED)
     assert 0 < sol.residual <= 1e-10 * np.linalg.norm(sol.h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.1, 2.0), st.floats(-0.95, 0.95), st.floats(0.1, 20.0))
+def test_solutions_are_the_matrix_expressions_bit_for_bit(j0, ratio, beta):
+    # h and omega0 are built from their diagonal entries; they keep the bits of xi0*1 + sign*xi3*sz,
+    # (1/xi0)*1 and alpha*1 as complex matrix arithmetic forms them
+    p = ModelParams(j0, j0 * ratio, beta)
+    eye = np.eye(2, dtype=complex)
+    alpha = 1 / transfer_coeffs(p).c1
+    sol = solve_branch(p, Branch.DISORDERED)
+    assert sol.h.tobytes() == (alpha * eye).tobytes() and sol.omega0.tobytes() == ((1 / alpha) * eye).tobytes()
+    try:
+        xi0, xi3 = ordered_xi(p)
+    except DomainError:
+        return
+    for branch in (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS):
+        sol = solve_branch(p, branch)
+        assert sol.h.tobytes() == (xi0 * eye + ordered_sign(branch) * xi3 * PAULI["Z"]).tobytes()
+        assert sol.omega0.tobytes() == ((1 / xi0) * eye).tobytes()
 
 
 def test_each_solution_is_built_once_shared_and_read_only():

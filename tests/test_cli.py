@@ -335,6 +335,65 @@ def test_verify_table_and_exit(capsys, monkeypatch):
     assert "FAIL  2 demo" in out
 
 
+def reference_render_json(obj, indent: int = 0) -> str:
+    """The renderer as it was before its one-pass form, verbatim: the reference for render_json's bytes."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{inner}{json.dumps(k)}: {reference_render_json(v, indent + 1)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{reference_render_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return cli.fmt(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, complex):
+        return reference_render_json([obj.real, obj.imag], indent)
+    return json.dumps(obj)
+
+
+# the leaves a document may hold: every type the renderer tells apart, with the floats and strings that
+# print in a form of their own (signed zero, non-finite, subnormal; escapes, non-ASCII, lone surrogates)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),  # beyond 2^64 both ways
+    st.floats(),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310]),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.complex_numbers(),
+    st.complex_numbers().map(np.complex128),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "\u2028", "\ud800", "é", "ключ", "\U0001f600"]),
+)
+json_keys = st.one_of(st.text(), st.sampled_from(["é", "ключ", "\U0001f600", '"q"', "a\\b", "\n"]), st.integers())
+json_documents = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_keys, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_documents, st.sampled_from([0, 1]))
+def test_render_json_is_the_reference_byte_for_byte(doc, indent):
+    assert cli.render_json(doc, indent).encode() == reference_render_json(doc, indent).encode()
+
+
 def test_json_rendering_17g():
     text = cli.render_json({"x": 1 / 3, "nested": [1.0, 2]})
     assert "0.33333333333333331" in text
@@ -671,15 +730,28 @@ def contract_argv(draw):
     def small(lo, hi):
         return str(draw(st.integers(lo, hi)))
 
+    def solving_beta():
+        return repr(draw(st.floats(0.2, 3.0)))
+
     commands = ["coeffs", "solve", "evaluate", "evaluate", "phase-diagram", "projector", "cluster"]
     command = draw(st.sampled_from(commands))  # evaluate twice: it also draws its observable document
     document = None
+    # in about half of their draws, projector and cluster get a point that solves, so that they reach exit 0
+    solving = command in ("projector", "cluster") and draw(st.booleans())
+    if solving:
+        j0 = draw(st.floats(0.2, 2.0))
+        point = ["--j0", repr(j0), "--j", repr(j0 * draw(st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)))]
     if command == "phase-diagram":
         argv = [command, "--j-min", number(), "--j-max", number(), "--j0-min", number(), "--j0-max", number(),
                 "--beta", number(), "--resolution", small(1, 4)]
+    elif command == "projector" and solving:
+        argv = [command, *point, "--n", small(0, 4), "--beta-min", solving_beta(), "--beta-max", solving_beta(),
+                "--steps", small(1, 3)]
     elif command == "projector":
         argv = [command, "--j0", number(), "--j", number(), "--n", small(0, 4), "--beta-min", number(),
                 "--beta-max", number(), "--steps", small(0, 3)]
+    elif command == "cluster" and solving:
+        argv = [command, *point, "--beta", solving_beta()]
     elif command == "evaluate" and draw(st.booleans()):  # every branch but xy solves here: the document is evaluated
         argv = [command, "--j0", "1", "--j", "0.5", "--beta", "0.8"]
     else:
@@ -688,7 +760,7 @@ def contract_argv(draw):
         document = draw(observable_documents)
         argv += ["--observable", OBSERVABLE_SLOT, "--branch", draw(st.sampled_from([b.value for b in Branch]))]
     if command == "cluster":
-        argv += ["--branch", draw(st.sampled_from(["plus", "minus"])), "--max-level", small(3, 6)]
+        argv += ["--branch", draw(st.sampled_from(["plus", "minus"])), "--max-level", small(4 if solving else 3, 6)]
     if command in ("phase-diagram", "projector", "cluster"):
         argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
     return argv, document

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayley_qmc.errors import DomainError
-from cayley_qmc.linalg import kron, normalized_trace
+from cayley_qmc.linalg import herm_exp, kron, normalized_trace
 from cayley_qmc.model_ops import (
     PAULI,
     ModelParams,
@@ -148,6 +148,30 @@ def test_operator_builders_keep_their_bits_inside_the_range():
     k = kron(ising_bond(p), eye)
     k2 = k.reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)  # the bond on (parent, child 2)
     assert vertex_operator(p).tobytes() == (k @ k2 @ kron(eye, xy_bond(p))).tobytes()
+
+
+def herm_exp_vertex_operator(p):
+    """A = K K L with both bonds through herm_exp: the reference for vertex_operator's bytes.
+
+    Returns the Ising bond and A.  vertex_operator builds the Ising bond, whose generator is
+    diagonal, as the entrywise exponential; the product is formed the same way.
+    """
+    eye, x, y, z = (PAULI[a] for a in "IXYZ")
+    bond = herm_exp(p.j0 * p.beta * (kron(eye, eye) + kron(z, z)) / 2)
+    k = kron(bond, eye)
+    k2 = k.reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)  # the bond on (parent, child 2)
+    return bond, k @ k2 @ kron(eye, herm_exp(p.j * p.beta * (kron(x, x) + kron(y, y)) / 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.floats(-3.0, 0.0, exclude_max=True), st.floats(0.0, 2.0)), st.floats(-3.0, 3.0),
+       st.floats(0.01, 60.0))
+def test_vertex_operator_is_the_herm_exp_product_bit_for_bit(j0, j, beta):
+    # J0 < 0 half the time, where the Ising bond's entries fall to e^{-180}
+    p = ModelParams(j0, j, beta)
+    bond, a = herm_exp_vertex_operator(p)
+    assert ising_bond(p).tobytes() == bond.tobytes()
+    assert vertex_operator(p).tobytes() == a.tobytes()
 
 
 def test_closed_expansion_matches_product():

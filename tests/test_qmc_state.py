@@ -286,6 +286,29 @@ def test_channel_tensor_matches_vertex_channel(ctx_plus, ctx_minus, ctx_disorder
                 assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
+def test_contexts_of_a_point_share_one_channel_table_and_cold_calls_equal_warm_ones():
+    # M depends on the point alone: one table object serves every branch; the first call of a
+    # process (every memo empty) and a later one give the same bits
+    p = ModelParams(0.9, -0.35, 1.7)
+    branches = (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS, Branch.DISORDERED)
+    obs = random_product_observable(np.random.default_rng(5), [ROOT, TreeCoord((1,)), TreeCoord((2, 1, 2))])
+
+    def build():
+        contexts = [EvalContext.create(p, b) for b in branches]
+        return [channel_tensor(ctx) for ctx in contexts], [eval_recursive(ctx, obs) for ctx in contexts]
+
+    for memo in (qmc_state._channel_table, vertex_operator, solve_branch):
+        memo.cache_clear()
+    cold, cold_values = build()
+    assert all(c[0] is cold[0][0] for c in cold)
+    assert qmc_state._channel_table.cache_info().currsize == 1
+    warm, warm_values = build()  # new contexts, the memos filled
+    assert all(w[0] is cold[0][0] for w in warm)
+    flat = [np.array(list(itertools.chain(*c[0], *c[1:]))).tobytes() for c in cold]
+    assert flat == [np.array(list(itertools.chain(*w[0], *w[1:]))).tobytes() for w in warm]
+    assert np.array(cold_values).tobytes() == np.array(warm_values).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.05, 6.0))
 def test_channel_is_exactly_symmetric_in_its_children(j0, j, beta):
@@ -816,16 +839,28 @@ def test_sparse_guard(ctx_plus):
         eval_sparse(ctx_plus, Observable.identity(), 3)
 
 
-@pytest.mark.parametrize(("beta", "oracle", "n"), [(60.0, eval_sparse, 2), (100.0, eval_bruteforce, 1),
-                                                   (100.0, eval_sparse, 1)])
-def test_oracles_refuse_a_weight_that_overflows(beta, oracle, n):
-    # the weight overflows to nan at low temperature, where the recursive route still answers
-    ctx = EvalContext.create(ModelParams(1.0, 0.3, beta), Branch.ORDERED_PLUS)
-    obs = marker_observable(1)
-    assert eval_recursive(ctx, obs) == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize(("oracle", "n"), [(eval_sparse, 2), (eval_bruteforce, 1), (eval_sparse, 1)])
+def test_oracles_refuse_a_weight_that_overflows(oracle, n):
+    # only a finished weight beyond a float is refused: omega0 = 1e306 (not a solution) scales it by 1e306
+    eye = np.eye(2, dtype=complex)
+    huge = BoundarySolution(branch=Branch.ORDERED_PLUS, h=eye, omega0=1e306 * eye, residual=float("nan"))
+    ctx = EvalContext(params=ModelParams(1.0, 0.3, 1.2), solution=huge)
     for _ in range(2):  # a refusal is not cached
-        with pytest.raises(DomainError, match=f"plus branch at j0=1.0, j=0.3, beta={beta}"):
-            oracle(ctx, obs, n)
+        with pytest.raises(DomainError, match="plus branch at j0=1.0, j=0.3, beta=1.2"):
+            oracle(ctx, marker_observable(1), n)
+
+
+@pytest.mark.parametrize("branch", [Branch.ORDERED_PLUS, Branch.ORDERED_MINUS, Branch.DISORDERED])
+@pytest.mark.parametrize("beta", [45.0, 60.0, 90.0])
+def test_oracles_answer_at_low_temperature(beta, branch):
+    # The weights are small (largest entry 64 or 128), but omega0 (8.5e103 at beta = 60) and A (1.3e52)
+    # overflow a float in the conjugations before the boundary's h^1/2 brings them back; the
+    # builder then runs again with power-of-two scaling, and both oracles answer as the recursive route
+    ctx = EvalContext.create(ModelParams(1.0, 0.3, beta), branch)
+    for obs in (marker_observable(1), random_product_observable(np.random.default_rng(11), ball_vertices(1))):
+        want = eval_recursive(ctx, obs)
+        assert abs(eval_sparse(ctx, obs, 2) - want) < 1e-10
+        assert abs(eval_bruteforce(ctx, obs, 1) - want) < 1e-10
 
 
 @pytest.mark.parametrize("branch", [Branch.ORDERED_PLUS, Branch.ORDERED_MINUS, Branch.DISORDERED])
