@@ -58,10 +58,9 @@ witnesses do, therefore repeats only the replay.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -445,7 +444,7 @@ _PAIRS = ((0, 0), (0, 3), (1, 2), (2, 1), (3, 0), (3, 3))  # M's charge-conservi
 _PAIR_COLUMNS = tuple((2 * (b >> 1) + (c >> 1), 2 * (b & 1) + (c & 1)) for b, c in _PAIRS)
 
 
-@functools.lru_cache(maxsize=256)
+@lru_cache(maxsize=256)
 def _channel_table(p: ModelParams) -> tuple[tuple[complex, ...], ...]:
     """M's 24 entries, one row of six per output entry (channel_tensor), as Python complexes.
 
