@@ -17,7 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import Branch, delta_theta, ordered_sign, ordered_xi, phase_region_grid
-from .errors import DomainError, ModelInconsistencyError, ResourceLimitError, SingularParameterError
+from .errors import (
+    DomainError,
+    ModelInconsistencyError,
+    ResourceLimitError,
+    SeriesOverflowError,
+    SingularParameterError,
+)
 from .model_ops import ModelParams, TransferCoeffs, operator_coeffs, transfer_coeffs
 from .qmc_state import EvalContext, Observable, correlation, eval_recursive, relocate_observable
 from .tree import TreeCoord, ball_vertices
@@ -86,9 +92,15 @@ def _series(p: ModelParams, c: TransferCoeffs, xi3: float | None = None) -> Tran
         raise SingularParameterError(f"degenerate series denominators (C3={c.c3!r}, 3C3-2C1={den!r})")
     if xi3 is None:
         _, xi3 = ordered_xi(p, c)
-    rho1_hat = c.c3**2 / den
+    try:
+        c3_squared = c.c3**2
+    except OverflowError:  # a float power raises where a product would give inf
+        raise SeriesOverflowError(
+            f"the transfer series constant C3^2 overflows a float at j0={p.j0}, j={p.j}, beta={p.beta}"
+        ) from None
+    rho1_hat = c3_squared / den
     rho2_hat = 2 * c.c3 * (c.c3 - c.c1) / den
-    rho1_check = 2 * c.c2 * c.c3**2 * xi3 / den
+    rho1_check = 2 * c.c2 * c3_squared * xi3 / den
     return TransferSeries(rho1_hat=rho1_hat, rho2_hat=rho2_hat, rho1_check=rho1_check, lam=_lam(c))
 
 
@@ -359,29 +371,15 @@ class PhasePoint(NamedTuple):
 MAX_SCAN_POINTS = 1_000_000  # scan points (resolution**2, or projector steps) beyond this are refused before any grid exists
 
 
-def phase_diagram_scan(
-    j_min: float,
-    j_max: float,
-    j0_min: float,
-    j0_max: float,
-    beta: float,
-    resolution: int,
-) -> list[PhasePoint]:
-    """Delta sign, classification and threshold over a (J, J0) grid.
+def _phase_columns(
+    j_min: float, j_max: float, j0_min: float, j0_max: float, beta: float, resolution: int
+) -> tuple[itertools.chain, itertools.chain, list[float], list[str], itertools.chain]:
+    """The scan's validation and grid, as its five columns in row order: J, J0, Delta, classification, threshold.
 
-    Rows are ordered by (j, j0); singular points (J = +-J0) are flagged
-    in-row.  The grid is evaluated at once by boundary.phase_region_grid,
-    which uses its separability: the exponentials and cosh come from `math`
-    once per grid line, because np.exp and np.cosh differ from libm in the
-    last bit on some inputs, and the rest is whole-grid numpy in the
-    pointwise operation order.  So every row equals, bit for bit, what
-    delta_theta, phase_region and dd_threshold give at its point, and the
-    scan fails where the first of them would.
-
-    Refuses a resolution below 2, non-finite bounds, spans or beta,
-    beta <= 0 and a corner that ModelParams refuses (DomainError), and more
-    than MAX_SCAN_POINTS points (ResourceLimitError) before anything is
-    allocated.
+    phase_diagram_scan's rows and the CLI's phase-diagram table both read
+    it; it refuses what phase_diagram_scan documents.  J and the threshold
+    repeat a J line's value on each of its rows, and J0 the J0 values on
+    every line, as the same float objects.
     """
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
@@ -400,13 +398,45 @@ def phase_diagram_scan(
     js = np.linspace(j_min, j_max, resolution)
     j0s = np.linspace(j0_min, j0_max, resolution)
     delta, names, threshold = phase_region_grid(js, j0s, beta)
-    return list(
-        map(
-            PhasePoint,
-            np.repeat(js, resolution).tolist(),
-            np.tile(j0s, resolution).tolist(),
-            delta.ravel().tolist(),
-            names.ravel().tolist(),
-            np.repeat(threshold, resolution).tolist(),
-        )
+    return (
+        _per_j_line(js.tolist(), resolution),
+        itertools.chain.from_iterable(itertools.repeat(j0s.tolist(), resolution)),
+        delta.ravel().tolist(),
+        names.ravel().tolist(),
+        _per_j_line(threshold.tolist(), resolution),
     )
+
+
+def _per_j_line(values: list[float], resolution: int) -> itertools.chain:
+    """Each J line's value on each of the line's rows."""
+    return itertools.chain.from_iterable(map(itertools.repeat, values, itertools.repeat(resolution)))
+
+
+def phase_diagram_scan(
+    j_min: float,
+    j_max: float,
+    j0_min: float,
+    j0_max: float,
+    beta: float,
+    resolution: int,
+) -> list[PhasePoint]:
+    """Delta sign, classification and threshold over a (J, J0) grid.
+
+    Rows are ordered by (j, j0); singular points (J = +-J0) are flagged
+    in-row.  The grid is evaluated at once by boundary.phase_region_grid,
+    which uses its separability: the exponentials and cosh come from `math`
+    once per grid line, because np.exp and np.cosh differ from libm in the
+    last bit on some inputs, and the rest is whole-grid numpy in the
+    pointwise operation order.  So every row equals, bit for bit, what
+    delta_theta, phase_region and dd_threshold give at its point, and the
+    scan fails where the first of them would.  The rows are made from the
+    grid's columns by tuple.__new__ in C, with no Python call per row; they
+    are PhasePoints as PhasePoint(...) makes them.
+
+    Refuses a resolution below 2, non-finite bounds, spans or beta,
+    beta <= 0 and a corner that ModelParams refuses (DomainError), and more
+    than MAX_SCAN_POINTS points (ResourceLimitError) before anything is
+    allocated.
+    """
+    columns = _phase_columns(j_min, j_max, j0_min, j0_max, beta, resolution)
+    return list(map(tuple.__new__, itertools.repeat(PhasePoint), zip(*columns)))

@@ -17,7 +17,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -155,17 +154,44 @@ def phase_region(p: ModelParams) -> PhaseRegion:
     return PhaseRegion(delta, Classification.PHASE_TRANSITION if transition else Classification.UNIQUE)
 
 
-def _per_line(f: Callable[[float], float], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f at every grid coordinate, and where it raised OverflowError (the value is then inf)."""
-    values, overflow = [], []
-    for x in xs.tolist():
+# The grid's classification names by code: 0 and 1 are the transition mask's False and True.
+_CLASS_NAMES = np.array(
+    [Classification.UNIQUE.value, Classification.PHASE_TRANSITION.value, Classification.BOUNDARY.value, "Singular"],
+    dtype=object,
+)
+_BOUNDARY, _SINGULAR = 2, 3
+
+
+def _j_lines(js: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dd_threshold and cosh(2 J beta) per J line, and where dd_threshold raised OverflowError (both are then inf)."""
+    threshold, cosh, overflow = [], [], []
+    for j in js.tolist():
         try:
-            values.append(f(x))
-            overflow.append(False)
+            threshold.append(dd_threshold(j, beta))
         except OverflowError:
-            values.append(math.inf)
+            threshold.append(math.inf)
+            cosh.append(math.inf)
             overflow.append(True)
-    return np.array(values), np.array(overflow)
+        else:
+            cosh.append(math.cosh(2 * j * beta))  # finite: dd_threshold formed it
+            overflow.append(False)
+    return np.array(threshold), np.array(cosh), np.array(overflow)
+
+
+def _j0_lines(j0s: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^{4 J0 beta} and e^{2 J0 beta} per J0 line, and where the first overflowed (both are then inf)."""
+    e4, e2, overflow = [], [], []
+    for j0 in j0s.tolist():
+        try:
+            e4.append(math.exp(4 * j0 * beta))
+        except OverflowError:
+            e4.append(math.inf)
+            e2.append(math.inf)
+            overflow.append(True)
+        else:
+            e2.append(math.exp(2 * j0 * beta))  # finite wherever e4 is
+            overflow.append(False)
+    return np.array(e4), np.array(e2), np.array(overflow)
 
 
 def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,24 +199,25 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
 
     Returns Delta and the classification names on the grid (J along axis 0),
     with nan and "Singular" where delta_theta raises SingularParameterError,
-    and dd_threshold per J line.  Fails where the pointwise calls would: at
-    the first failing point, J outer, it calls dd_threshold and phase_region,
-    which raise their own error there.
+    and dd_threshold per J line.  The names are an object array of the four
+    interned strings (the Classification values and "Singular"), so their
+    .tolist() makes no new string.  Fails where the pointwise calls would:
+    at the first failing point, J outer, it calls dd_threshold and
+    phase_region, which raise their own error there.
 
-    The grid is separable.  e^{4 J0 beta} and e^{2 J0 beta} per J0 line, and
-    cosh(2 J beta) and dd_threshold per J line, come from `math` (libm), as
-    in the pointwise formulas: np.exp and np.cosh differ from libm in the
-    last bit on some inputs.  den, Delta = (den - 4)/den, the masks and the
-    cross-check are whole-grid float64 arithmetic through the same
-    _denominator and _expects_transition as the pointwise functions, in
+    The grid is separable.  One pass over the J lines forms dd_threshold and
+    cosh(2 J beta), and one over the J0 lines e^{4 J0 beta} and
+    e^{2 J0 beta}, each from `math` (libm), as in the pointwise formulas:
+    np.exp and np.cosh differ from libm in the last bit on some inputs.  An
+    OverflowError is recorded per line.  den, Delta = (den - 4)/den, the
+    masks and the cross-check are whole-grid float64 arithmetic through the
+    same _denominator and _expects_transition as the pointwise functions, in
     delta_theta's operation order, which rounds as Python floats do.
     """
-    threshold, threshold_overflow = _per_line(lambda j: dd_threshold(j, beta), js)
-    cosh, _ = _per_line(lambda j: math.cosh(2 * j * beta), js)  # overflows where dd_threshold does
-    e4, e4_overflow = _per_line(lambda j0: math.exp(4 * j0 * beta), j0s)
-    e2, _ = _per_line(lambda j0: math.exp(2 * j0 * beta), j0s)  # finite wherever e4 is
+    threshold, cosh, threshold_overflow = _j_lines(js, beta)
+    e4, e2, e4_overflow = _j0_lines(j0s, beta)
     j, j0 = js[:, None], j0s[None, :]
-    excluded = (j == j0) | (j == -j0)
+    excluded = np.abs(j) == np.abs(j0)  # J = +-J0
     with np.errstate(all="ignore"):  # overflow gives inf and inf/inf nan, as with Python floats
         den = _denominator(e4, e2, cosh[:, None])
         delta = (den - 4) / den
@@ -198,19 +225,23 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
         delta[singular] = math.nan
         transition = delta > 0
         expected = _expects_transition(j, j0, threshold[:, None])
-        mismatch = (np.abs(delta) > REGION_GUARD) & (expected != transition)
-    # delta_theta never forms e^{4 J0 beta} or den at an excluded point
-    overflow = threshold_overflow[:, None] | ((e4_overflow | ~np.isfinite(den)) & ~excluded)
-    failed = np.flatnonzero(overflow | mismatch)
-    if failed.size:  # the pointwise calls at the first failing point raise its error
-        a, b = divmod(int(failed[0]), len(j0s))
-        dd_threshold(float(js[a]), beta)
-        phase_region(ModelParams(float(j0s[b]), float(js[a]), beta))
-        raise ModelInconsistencyError(f"the grid fails at J = {js[a]}, J0 = {j0s[b]}, where the pointwise calls do not")
-    names = np.where(transition, Classification.PHASE_TRANSITION.value, Classification.UNIQUE.value)
-    names[np.abs(delta) <= BOUNDARY_TOL] = Classification.BOUNDARY.value
-    names[singular] = "Singular"
-    return delta, names, threshold
+        magnitude = np.abs(delta)
+        mismatch = (magnitude > REGION_GUARD) & (expected != transition)
+    if threshold_overflow.any() or e4_overflow.any() or mismatch.any() or not np.isfinite(den).all():
+        # delta_theta never forms e^{4 J0 beta} or den at an excluded point
+        overflow = threshold_overflow[:, None] | ((e4_overflow | ~np.isfinite(den)) & ~excluded)
+        failed = np.flatnonzero(overflow | mismatch)
+        if failed.size:  # the pointwise calls at the first failing point raise its error
+            a, b = divmod(int(failed[0]), len(j0s))
+            dd_threshold(float(js[a]), beta)
+            phase_region(ModelParams(float(j0s[b]), float(js[a]), beta))
+            raise ModelInconsistencyError(
+                f"the grid fails at J = {js[a]}, J0 = {j0s[b]}, where the pointwise calls do not"
+            )
+    codes = transition.view(np.int8)  # Unique where False, PhaseTransition where True
+    codes[magnitude <= BOUNDARY_TOL] = _BOUNDARY
+    codes[singular] = _SINGULAR
+    return delta, _CLASS_NAMES[codes], threshold
 
 
 def fixed_point_residual(p: ModelParams, h: np.ndarray) -> float:

@@ -118,12 +118,73 @@ def _render_items(keys, values, brackets: str, pad: str, out: list[str]) -> None
     out.append(pad + brackets[1])
 
 
-def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def render_csv(header: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """The header line, then one line per row of the columns, which have one length.
+
+    A cell prints as fmt if it is a float (numpy's too) and as str
+    otherwise.  Each column is formatted at once (see _column_texts), and
+    each row's line is joined from the formatted columns.
+    """
+    lines = map(",".join, zip(*(_column_texts(_csv_texts, column) for column in columns)))
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+def _csv_texts(cells: Sequence) -> Iterable[str]:
+    """render_csv's text of each cell."""
+    if _one_type(cells) is float:
+        return map(format, cells, itertools.repeat(".17g"))  # fmt's text, without a call per cell
+    return [fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in cells]
+
+
+def _json_texts(cells: Sequence) -> Iterable[str]:
+    """render_json's text of each cell, at the indent of a table row's keys."""
+    leaf = _LEAVES.get(_one_type(cells))
+    return map(leaf, cells) if leaf is not None else [render_json(v, 3) for v in cells]
+
+
+def _one_type(cells: Sequence) -> type | None:
+    """The exact type of every cell, or None where their types differ (or there are none)."""
+    kinds = set(map(type, cells))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _column_texts(render, column: Sequence) -> Iterable[str]:
+    """The text of each cell, rendering each distinct cell object once.
+
+    render maps a sequence of cells to their texts.  A grid's line values
+    repeat along its table as the same objects (a J line's J on each of its
+    rows, the J0 values on every line), so they are formatted once a line.
+    """
+    keys = list(map(id, column))
+    distinct = dict(zip(keys, column))  # the column holds each object while its id is a key
+    if len(distinct) == len(keys):
+        return render(column)
+    text = dict(zip(distinct, render(list(distinct.values()))))
+    return map(text.__getitem__, keys)
+
+
+# A table row in render_json's layout of a table document: an item of its
+# "rows" list, two levels in, with its keys one level further in.
+_ROW_PAD = "\n" + "  " * 2
+_KEY_PAD = _ROW_PAD + "  "
+
+
+def _render_json_table(columns: Mapping[str, Sequence], doc: Mapping) -> str:
+    """render_json of doc with the columns' rows appended under "rows", each row an object keyed by column.
+
+    Each column is rendered at once (see _column_texts), and the rows are
+    one join of the fixed key lines and the cells' texts.
+    """
+    pieces, opening = [], "{"
+    for key, column in columns.items():
+        pieces += (itertools.repeat(opening + _KEY_PAD + encode_basestring_ascii(key) + ": "),
+                   _column_texts(_json_texts, column))
+        opening = ","
+    separator = "," + _ROW_PAD
+    pieces.append(itertools.repeat(_ROW_PAD + "}" + separator))
+    rows = "".join(itertools.chain.from_iterable(zip(*pieces))).removesuffix(separator) if columns else ""
+    table = "[" + _ROW_PAD + rows + "\n  ]" if rows else "[]"
+    return render_json({**doc, "rows": None}).removesuffix("null\n}") + table + "\n}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,15 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _table(args, header: Sequence[str], rows: Iterable[Mapping], **doc) -> str | dict:
-    """A table: `header` names the CSV columns and, in the same order, each JSON row's keys.
+def _table(args, columns: Mapping[str, Sequence], **doc) -> str:
+    """A table given as columns of one length: their keys name the CSV columns and, in order, each JSON row's keys.
 
-    The JSON document is `doc` with the rows appended under "rows".
+    The JSON document is `doc` with the rows appended under "rows", as
+    render_json lays it out.
     """
-    rows = [[row[key] for key in header] for row in rows]
     if args.format == "csv":
-        return render_csv(header, rows)
-    return {**doc, "rows": [dict(zip(header, row)) for row in rows]}
+        return render_csv(list(columns), list(columns.values()))
+    return _render_json_table(columns, doc) + "\n"
+
+
+def _columns(header: Sequence[str], rows: Sequence[Mapping]) -> dict[str, list]:
+    return {key: [row[key] for row in rows] for key in header}
 
 
 def _branch_doc(sol: BoundarySolution) -> dict:
@@ -270,14 +335,12 @@ def _cmd_evaluate(args) -> tuple[dict, int]:
     return {"j0": args.j0, "j": args.j, "beta": args.beta, "branch": args.branch, "value": value}, 0
 
 
-def _cmd_phase_diagram(args) -> tuple[str | dict, int]:
-    rows = analysis.phase_diagram_scan(
-        args.j_min, args.j_max, args.j0_min, args.j0_max, args.beta, args.resolution
-    )
-    return _table(args, analysis.PhasePoint._fields, map(analysis.PhasePoint._asdict, rows), beta=args.beta), 0
+def _cmd_phase_diagram(args) -> tuple[str, int]:
+    columns = analysis._phase_columns(args.j_min, args.j_max, args.j0_min, args.j0_max, args.beta, args.resolution)
+    return _table(args, dict(zip(analysis.PhasePoint._fields, map(list, columns))), beta=args.beta), 0
 
 
-def _cmd_projector(args) -> tuple[str | dict, int]:
+def _cmd_projector(args) -> tuple[str, int]:
     if args.steps < 1:
         raise DomainError(f"steps must be >= 1, got {args.steps}")
     if args.steps > analysis.MAX_SCAN_POINTS:
@@ -285,10 +348,10 @@ def _cmd_projector(args) -> tuple[str | dict, int]:
     betas = [float(b) for b in np.linspace(args.beta_min, args.beta_max, args.steps)]
     rows = analysis.projector_limit_scan(args.j0, args.j, args.n, betas)
     header = ("beta", "phi1_pn", "phi1_qn", "dev_from_one")
-    return _table(args, header, rows, j0=args.j0, j=args.j, n=args.n), 0
+    return _table(args, _columns(header, rows), j0=args.j0, j=args.j, n=args.n), 0
 
 
-def _cmd_cluster(args) -> tuple[str | dict, int]:
+def _cmd_cluster(args) -> tuple[str, int]:
     if args.max_level < 4:
         raise DomainError(f"--max-level must be >= 4 to fit a ratio, got {args.max_level}")
     if args.max_level > MAX_CLUSTER_LEVEL:
@@ -300,7 +363,7 @@ def _cmd_cluster(args) -> tuple[str | dict, int]:
     fitted = analysis.fitted_decay_ratio(rows)
     # the limit check evaluates one more deep marker, so only the JSON document, which prints it, pays for it
     limit_check = asdict(analysis.clustering_limit_report(ctx, analysis.E11)) if args.format == "json" else None
-    return _table(args, ("level", "deviation", "ratio"), rows, branch=args.branch,
+    return _table(args, _columns(("level", "deviation", "ratio"), rows), branch=args.branch,
                   lambda_abs=abs(analysis.lam(params)), fitted_ratio=fitted, limit_check=limit_check), 0
 
 

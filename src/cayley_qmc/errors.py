@@ -32,5 +32,12 @@ class ThresholdOverflowError(DomainError, OverflowError):
     """
 
 
+class SeriesOverflowError(DomainError, OverflowError):
+    """A closed-form series constant overflows a float at a point whose couplings times beta do not.
+
+    An OverflowError, as math's and float powers' are, that names the point.
+    """
+
+
 class ResourceLimitError(CayleyQmcError):
     """Requested volume exceeds the dense brute-force guard."""

@@ -420,10 +420,30 @@ def _trace_weight(w: np.ndarray, n: int, obs: Observable) -> complex:
     return total
 
 
+def _finite_trace(ctx: EvalContext, w: np.ndarray, ball: int, obs: Observable, n: int) -> complex:
+    """_trace_weight(w, ball, obs), refused with a DomainError where it is not finite; n is the caller's depth.
+
+    A finite weight and finite factors can still overflow in the trace; the
+    oracles refuse that value, as eval_recursive does, and never warn.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond a float is refused below
+        value = _trace_weight(w, ball, obs)
+    if not cmath.isfinite(value):
+        p = ctx.params
+        raise DomainError(
+            f"the oracle value {value} at n = {n} is not finite on the {ctx.solution.branch.value} branch at "
+            f"j0={p.j0}, j={p.j}, beta={p.beta}: its trace of the weight against the observable overflows a float"
+        )
+    return value
+
+
 def eval_bruteforce(ctx: EvalContext, obs: Observable, n: int) -> complex:
-    """Normalized trace of the (n+1)-ball's weight_matrix against the observable, site by site (_trace_weight)."""
+    """Normalized trace of the (n+1)-ball's weight_matrix against the observable, site by site (_trace_weight).
+
+    A value that is not finite is refused with a DomainError.
+    """
     _check_support(obs, n)
-    return _trace_weight(weight_matrix(ctx, n), n + 1, obs)
+    return _finite_trace(ctx, weight_matrix(ctx, n), n + 1, obs, n)
 
 
 def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
@@ -433,10 +453,11 @@ def eval_sparse(ctx: EvalContext, obs: Observable, n: int) -> complex:
     against reduced_weight (cached per context and depth), taken site by site
     as eval_bruteforce takes it (_trace_weight).  Identical in value to
     eval_bruteforce where both are defined; reaches the 15-site volume
-    (n = 2) that the level-1 compatibility check needs.
+    (n = 2) that the level-1 compatibility check needs.  A value that is not
+    finite is refused with a DomainError.
     """
     _check_support(obs, n)
-    return _trace_weight(reduced_weight(ctx, n), n, obs)
+    return _finite_trace(ctx, reduced_weight(ctx, n), n, obs, n)
 
 
 _PAIRS = ((0, 0), (0, 3), (1, 2), (2, 1), (3, 0), (3, 3))  # M's charge-conserving child pairs (b, c), in einsum's order

@@ -216,6 +216,19 @@ def test_closed_forms_refuse_overflow_instead_of_nan():
         quasi_gap(p)
 
 
+@pytest.mark.parametrize(
+    "closed_form",
+    [lambda p: marker_expectation_closed(p, 2, Branch.ORDERED_PLUS), quasi_gap, transfer_series],
+    ids=["marker", "quasi_gap", "transfer_series"],
+)
+def test_series_overflow_names_the_point(closed_form):
+    # C3^2 ~ e^1200 overflows a float power at beta = 150: the refusal is a DomainError that names the point,
+    # and still an OverflowError, as a float power's is
+    with pytest.raises(DomainError, match=r"C3\^2 overflows a float at j0=1.0, j=0.3, beta=150.0$") as info:
+        closed_form(ModelParams(1.0, 0.3, 150.0))
+    assert isinstance(info.value, OverflowError)
+
+
 def test_transfer_series_refuses_overflow_instead_of_nan():
     # 2 C2 C3^2 xi3 overflows here while the hat constants stay finite: with
     # rho1_check = inf the check series would be inf - inf = nan, even at n = 0

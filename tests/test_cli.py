@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +394,171 @@ json_documents = st.recursive(
 @given(json_documents, st.sampled_from([0, 1]))
 def test_render_json_is_the_reference_byte_for_byte(doc, indent):
     assert cli.render_json(doc, indent).encode() == reference_render_json(doc, indent).encode()
+
+
+# The table path as it was before the columnar one, verbatim (bar the names): the reference for the bytes of
+# every phase-diagram, projector and cluster table.  main renders the dict that reference_table returns.
+def reference_render_csv(header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [cli.fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_table(args, header, rows, **doc):
+    rows = [[row[key] for key in header] for row in rows]
+    if args.format == "csv":
+        return reference_render_csv(header, rows)
+    return {**doc, "rows": [dict(zip(header, row)) for row in rows]}
+
+
+def reference_cmd_phase_diagram(args):
+    rows = analysis.phase_diagram_scan(
+        args.j_min, args.j_max, args.j0_min, args.j0_max, args.beta, args.resolution
+    )
+    return reference_table(args, analysis.PhasePoint._fields, map(analysis.PhasePoint._asdict, rows), beta=args.beta), 0
+
+
+def reference_cmd_projector(args):
+    if args.steps < 1:
+        raise cli.DomainError(f"steps must be >= 1, got {args.steps}")
+    if args.steps > analysis.MAX_SCAN_POINTS:
+        raise cli.ResourceLimitError(f"{args.steps} steps exceed the {analysis.MAX_SCAN_POINTS}-point guard")
+    betas = [float(b) for b in np.linspace(args.beta_min, args.beta_max, args.steps)]
+    rows = analysis.projector_limit_scan(args.j0, args.j, args.n, betas)
+    header = ("beta", "phi1_pn", "phi1_qn", "dev_from_one")
+    return reference_table(args, header, rows, j0=args.j0, j=args.j, n=args.n), 0
+
+
+def reference_cmd_cluster(args):
+    if args.max_level < 4:
+        raise cli.DomainError(f"--max-level must be >= 4 to fit a ratio, got {args.max_level}")
+    if args.max_level > cli.MAX_CLUSTER_LEVEL:
+        raise cli.ResourceLimitError(f"--max-level {args.max_level} exceeds the {cli.MAX_CLUSTER_LEVEL}-level guard")
+    params = ModelParams(args.j0, args.j, args.beta)
+    ctx = cli.EvalContext.create(params, Branch(args.branch))
+    obs = cli.Observable.single(cli.ROOT, analysis.E11)
+    rows = analysis.clustering_deviations(ctx, obs, obs, list(range(3, args.max_level + 1)))
+    fitted = analysis.fitted_decay_ratio(rows)
+    limit_check = asdict(analysis.clustering_limit_report(ctx, analysis.E11)) if args.format == "json" else None
+    return reference_table(args, ("level", "deviation", "ratio"), rows, branch=args.branch,
+                           lambda_abs=abs(analysis.lam(params)), fitted_ratio=fitted, limit_check=limit_check), 0
+
+
+REFERENCE_TABLE_COMMANDS = {
+    "phase-diagram": reference_cmd_phase_diagram,
+    "projector": reference_cmd_projector,
+    "cluster": reference_cmd_cluster,
+}
+
+
+def _main_result(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().encode(), err.getvalue()
+
+
+def _assert_table_is_the_reference(argv):
+    """main gives the reference table path's exit code, stdout bytes and stderr."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(cli._COMMANDS, argv[0], REFERENCE_TABLE_COMMANDS[argv[0]])
+        want = _main_result(argv)
+    assert _main_result(argv) == want, argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+    st.one_of(st.floats(0.05, 5.0), st.sampled_from([100.0, 400.0])),  # overflowing lines at low temperature
+    st.integers(2, 12), st.sampled_from(["mirror", "boundary", "free"]), st.sampled_from(["csv", "json"]),
+)
+def test_phase_diagram_table_is_the_reference(a, b, c, beta, resolution, lines, table_format):
+    j_min, j_max = sorted((a, b))
+    if lines == "mirror":  # the J0 grid on the J grid: the diagonal rows are J = +-J0, flagged Singular
+        j0_min, j0_max = j_min, j_max
+    elif lines == "boundary":  # a J = 0 line crossing J0 = log(3) / (2 beta), where Delta = 0: a Boundary row
+        j_min, j_max, resolution = -abs(a), abs(a), max(3, resolution - 1 | 1)  # odd: J = 0 in the middle, mostly
+        j0_min, j0_max = math.log(3) / (2 * beta), abs(c) + 0.1
+    else:
+        j0_min, j0_max = sorted((b, c))
+    _assert_table_is_the_reference(
+        ["phase-diagram", "--j-min", repr(j_min), "--j-max", repr(j_max), "--j0-min", repr(j0_min),
+         "--j0-max", repr(j0_max), "--beta", repr(beta), "--resolution", str(resolution), "--format", table_format]
+    )
+
+
+def test_the_drawn_grids_reach_boundary_rows_and_overflowing_lines():
+    # what the property's "boundary" and low-temperature draws are for: a Boundary row, and a grid that fails
+    rows = analysis.phase_diagram_scan(-1.0, 1.0, math.log(3) / 2, 2.0, 1.0, 5)
+    assert "Boundary" in {r.classification for r in rows}
+    with pytest.raises(OverflowError):
+        analysis.phase_diagram_scan(-3.0, 3.0, 0.0, 3.0, 400.0, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # mostly ordered points, up to temperatures where the projector's constants overflow
+    st.floats(0.6, 2.0), st.floats(-0.9, 0.9), st.integers(0, 12), st.floats(1.0, 120.0), st.floats(1.0, 120.0),
+    st.integers(1, 8), st.sampled_from(["csv", "json"]),
+)
+def test_projector_table_is_the_reference(j0, ratio, n, beta_min, beta_max, steps, table_format):
+    _assert_table_is_the_reference(
+        ["projector", "--j0", repr(j0), "--j", repr(j0 * ratio), "--n", str(n), "--beta-min", repr(beta_min),
+         "--beta-max", repr(beta_max), "--steps", str(steps), "--format", table_format]
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(0.6, 2.0), st.floats(-0.9, 0.9), st.floats(1.0, 3.0), st.sampled_from(["plus", "minus"]),  # ordered
+    st.integers(4, 12), st.sampled_from(["csv", "json"]),
+)
+def test_cluster_table_is_the_reference(j0, ratio, beta, branch, max_level, table_format):
+    _assert_table_is_the_reference(
+        ["cluster", "--j0", repr(j0), "--j", repr(j0 * ratio), "--beta", repr(beta), "--branch", branch,
+         "--max-level", str(max_level), "--format", table_format]
+    )
+
+
+# table cells: every type the table renderers tell apart, with the floats and strings that print in a form of
+# their own, and a list for the JSON renderer's nested path
+table_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308]),
+    st.floats().map(np.float64),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", ",", "{}", "{0}", "\x00", "\u2028", "\ud800", "é", "ключ", "\U0001f600"]),
+    st.lists(st.floats(), max_size=2),
+)
+
+
+@st.composite
+def tables(draw):
+    """(header, rows as dicts, doc): the columns draw their cells from a pool, so that objects repeat in them."""
+    header = draw(st.lists(st.one_of(st.text(), st.sampled_from(["j", "{x}", '"q"', "é", "a}b{"])),
+                           min_size=1, max_size=4, unique=True))
+    pools = [draw(st.lists(table_cells, min_size=1, max_size=4)) for _ in header]
+    length = draw(st.integers(0, 6))
+    columns = [[pool[draw(st.integers(0, len(pool) - 1))] for _ in range(length)] for pool in pools]
+    rows = [dict(zip(header, row)) for row in zip(*columns)] if length else []
+    doc = draw(st.dictionaries(st.sampled_from(["beta", "j0", "branch", "limit_check"]), table_cells, max_size=3))
+    return header, rows, doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(tables(), st.sampled_from(["csv", "json"]))
+def test_a_columnar_table_is_the_reference_byte_for_byte(table, table_format):
+    header, rows, doc = table
+    args = argparse.Namespace(format=table_format)
+    want = reference_table(args, header, rows, **doc)
+    want = want if isinstance(want, str) else cli.render_json(want) + "\n"
+    columns = {key: [row[key] for row in rows] for key in header}
+    assert cli._table(args, columns, **doc) == want  # str equality: a CSV cell may hold a lone surrogate
 
 
 def test_json_rendering_17g():

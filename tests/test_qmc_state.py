@@ -850,6 +850,30 @@ def test_oracles_refuse_a_weight_that_overflows(oracle, n):
             oracle(ctx, marker_observable(1), n)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("oracle", "n"), [(eval_bruteforce, 1), (eval_sparse, 1), (eval_sparse, 2)])
+def test_oracles_refuse_a_trace_that_overflows_without_a_warning(oracle, n):
+    # the weight is finite, but +-1e300 at the root and at (1,) overflow in the trace (inf - inf = nan);
+    # the oracles refuse the value as eval_recursive does, naming the ball and the branch, and never warn
+    f = np.array([[1e300, -1e300], [-1e300, 1e300]], dtype=complex)
+    obs = Observable.product({ROOT: f, TreeCoord((1,)): f})
+    ctx = EvalContext.create(ModelParams(1.0, 0.3, 1.2), Branch.ORDERED_PLUS)
+    with pytest.raises(DomainError, match="not finite"):
+        eval_recursive(ctx, obs)
+    with pytest.raises(DomainError, match=f"at n = {n} is not finite on the plus branch at j0=1.0, j=0.3, beta=1.2"):
+        oracle(ctx, obs, n)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_bruteforce_oracle_refuses_an_overflowing_trace_of_the_identity():
+    # omega0 = 1e306 (not a solution): the 3-site weight is finite, the sum of its diagonal is not
+    eye = np.eye(2, dtype=complex)
+    huge = BoundarySolution(branch=Branch.ORDERED_PLUS, h=eye, omega0=1e306 * eye, residual=float("nan"))
+    ctx = EvalContext(params=ModelParams(1.0, 0.3, 1.2), solution=huge)
+    with pytest.raises(DomainError, match="at n = 0 is not finite on the plus branch"):
+        eval_bruteforce(ctx, Observable.identity(), 0)
+
+
 @pytest.mark.parametrize("branch", [Branch.ORDERED_PLUS, Branch.ORDERED_MINUS, Branch.DISORDERED])
 @pytest.mark.parametrize("beta", [45.0, 60.0, 90.0])
 def test_oracles_answer_at_low_temperature(beta, branch):
