@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    BoltzmannOverflowError,
     DomainError,
     ModelInconsistencyError,
     SingularParameterError,
@@ -108,13 +109,19 @@ def _expects_transition(j, j0, threshold):
 
 
 def delta_theta(p: ModelParams) -> float:
-    """The discriminant Delta(theta) whose sign separates the phase regions."""
+    """The discriminant Delta(theta) whose sign separates the phase regions.
+
+    Raises BoltzmannOverflowError, an OverflowError that names the point, where a term overflows a float.
+    """
     if p.j == p.j0 or p.j == -p.j0:
         raise SingularParameterError(f"J = +-J0 is excluded (j={p.j}, j0={p.j0})")
-    e4 = math.exp(4 * p.j0 * p.beta)
-    den = _denominator(e4, math.exp(2 * p.j0 * p.beta), math.cosh(2 * p.j * p.beta))
-    if not math.isfinite(den):  # e^{2 J0 beta} cosh(2 J beta) overflows where each factor does not
-        raise OverflowError("math range error")
+    try:
+        e4 = math.exp(4 * p.j0 * p.beta)
+        den = _denominator(e4, math.exp(2 * p.j0 * p.beta), math.cosh(2 * p.j * p.beta))
+    except OverflowError:
+        den = math.inf
+    if not math.isfinite(den):  # a factor overflows, or their product does where each factor does not
+        raise BoltzmannOverflowError(f"Delta's e^(4 j0 beta) or e^(2 j0 beta) cosh(2 j beta) overflows a float at {p}")
     if abs(den) < SINGULAR_TOL * max(1.0, e4):
         raise SingularParameterError(f"singular parameters: denominator {den:.3e} vanishes near J = +-J0")
     return (den - 4) / den

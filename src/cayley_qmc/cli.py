@@ -88,8 +88,6 @@ def _render(obj, pad: str, out: list[str]) -> None:
         _render_items(keys, obj.values(), "{}", pad, out)
     elif isinstance(obj, (list, tuple)):
         _render_items(itertools.repeat(""), obj, "[]", pad, out)
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):

@@ -39,5 +39,12 @@ class SeriesOverflowError(DomainError, OverflowError):
     """
 
 
+class BoltzmannOverflowError(DomainError, OverflowError):
+    """A Boltzmann factor such as e^{4 J0 beta} overflows a float at a point whose couplings times beta do not.
+
+    An OverflowError, as math's is, that names the point.
+    """
+
+
 class ResourceLimitError(CayleyQmcError):
     """Requested volume exceeds the dense brute-force guard."""

@@ -40,11 +40,11 @@ def normalized_trace(a: np.ndarray) -> complex:
     return complex(np.trace(a)) / a.shape[0]
 
 
-def _require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def _require_hermitian(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if dev > tol:
-        raise DomainError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
+    if dev > HERMITICITY_TOL:
+        raise DomainError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (deviation {dev:.3e})")
     return a
 
 

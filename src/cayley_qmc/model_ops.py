@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModelInconsistencyError
+from .errors import BoltzmannOverflowError, DomainError, ModelInconsistencyError
 from .linalg import LOG_MAX, dagger, herm_exp, kron
 
 PAULI = {
@@ -209,12 +209,15 @@ def vertex_channel(a_vertex: np.ndarray, root: np.ndarray, left: np.ndarray, rig
 def transfer_coeffs(p: ModelParams) -> TransferCoeffs:
     """Closed-form diagonal transfer coefficients (C1, C2, C3).
 
-    Raises OverflowError, as math.exp does, where a coefficient overflows a float.
+    Raises BoltzmannOverflowError, an OverflowError that names the point, where a coefficient overflows a float.
     """
-    e4 = math.exp(4 * p.j0 * p.beta)
-    f = math.exp(2 * p.j0 * p.beta) * math.cosh(2 * p.j * p.beta)
-    if f == math.inf:  # each factor is finite, their product is not
-        raise OverflowError("math range error")
+    try:
+        e4 = math.exp(4 * p.j0 * p.beta)
+        f = math.exp(2 * p.j0 * p.beta) * math.cosh(2 * p.j * p.beta)
+    except OverflowError:
+        f = math.inf
+    if f == math.inf:  # a factor overflows, or their product does where each factor does not
+        raise BoltzmannOverflowError(f"C1..C3's e^(4 j0 beta) or e^(2 j0 beta) cosh(2 j beta) overflows a float at {p}")
     return TransferCoeffs(c1=(e4 + 1) / 4 + f / 2, c2=(e4 + 1) / 4 - f / 2, c3=(e4 - 1) / 2)
 
 

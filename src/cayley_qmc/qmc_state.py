@@ -9,10 +9,10 @@ Two routes coexist on purpose:
   boundary level (weight_matrix, up to 7 sites, the two-level ball).
   eval_sparse traces each boundary pair out as soon as no later factor
   acts on it (reduced_weight, Tr_{level n+1}(K*K)), so it reaches the
-  three-level ball (15 sites) with nothing larger than 128x128.  Where low
-  temperature overflows the conjugations but not the weight, the builder
-  runs again with exact power-of-two scaling.  The literal K, built factor
-  by factor, is the tests' reference;
+  three-level ball (15 sites) with nothing larger than 128x128.  The
+  builder scales every step by an exact power of two, so low temperature
+  overflows no conjugation whose weight is finite.  The literal K, built
+  factor by factor, is the tests' reference;
 * a recursive level-by-level contraction through the per-vertex conditional
   expectation, valid at any depth.
 
@@ -82,22 +82,25 @@ class ObservableTerm:
     complex copy, made once per distinct input array (a projector's sites
     share one), so writing to the caller's array afterwards changes nothing
     and writing to a stored factor raises ValueError.  That is what lets the
-    term carry its contraction plan (`_plan`, built on first evaluation).  A
-    factor with an entry that is not finite is a DomainError.
-    Two terms are equal when their coefficients are and, in order, their sites
-    and their factors' bytes.
+    term carry its contraction plan (`_plan`, built on first evaluation).
+    Each copy is read once, when the term is built: its bytes and its four
+    entries as Python complexes (`_reads`, keyed by the copy's id) serve the
+    equality key, the plan and the oracles' trace.  Two sites with one digit
+    path, a factor that is not 2x2 and a factor with an entry that is not
+    finite are each a DomainError, refused in that order.  Two terms are
+    equal when their coefficients are and, in order, their sites and their
+    factors' bytes.
     """
 
     coeff: complex
     factors: tuple[tuple[TreeCoord, np.ndarray], ...]
+    _reads: dict = field(init=False, repr=False, compare=False)  # id of a stored copy -> (its bytes, its entries)
 
     def __post_init__(self) -> None:
-        single = len(self.factors) == 1  # one site cannot repeat, and one copy has four entries to test
-        if not single:
-            sites = [s for s, _ in self.factors]
-            if len(set(sites)) != len(sites):
-                raise DomainError("term factors must sit on distinct sites")
+        if len({s.digits for s, _ in self.factors}) != len(self.factors):
+            raise DomainError("term factors must sit on distinct sites")
         copies: dict[int, np.ndarray] = {}  # id of an input array -> its read-only copy
+        reads = {}
         factors = []
         for site, m in self.factors:
             a = copies.get(id(m))
@@ -106,13 +109,18 @@ class ObservableTerm:
                 if a.shape != (2, 2):
                     raise DomainError(f"factors must be 2x2, got shape {a.shape}")
                 a.setflags(write=False)
+                reads[id(a)] = a.tobytes(), tuple(a.ravel().tolist())
             factors.append((site, a))
         # one test per term: no kernel and no oracle may see an inf or a nan
-        finite = all(map(cmath.isfinite, a.ravel().tolist())) if single else np.isfinite(tuple(copies.values())).all()
-        if not finite:
+        if not all(map(cmath.isfinite, [z for _, entries in reads.values() for z in entries])):
             raise DomainError("an observable factor has an entry that is not finite")
         object.__setattr__(self, "coeff", complex(self.coeff))
         object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "_reads", reads)
+
+    def __reduce__(self):
+        # a copy or an unpickled term is built again: _reads is keyed by the ids of this term's copies
+        return ObservableTerm, (self.coeff, self.factors)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObservableTerm):
@@ -123,7 +131,7 @@ class ObservableTerm:
         return hash(self._key())
 
     def _key(self) -> tuple:
-        return self.coeff, tuple((s, m.tobytes()) for s, m in self.factors)
+        return self.coeff, tuple((s, self._reads[id(m)][0]) for s, m in self.factors)
 
     @property
     def factor_map(self) -> dict[TreeCoord, np.ndarray]:
@@ -253,19 +261,20 @@ class EvalContext:
     Every boundary solution is diagonal (alpha*1, or xi0*1 +- xi3*sz on the
     ordered pair), so h and omega0 are accepted only as 2x2 diagonal matrices
     with real nonnegative entries, a DomainError otherwise, and the weight
-    builder takes h's square root entrywise.  `create` takes the branch's
-    solution from boundary.solve_branch: it is per-process and shared with
-    every other caller that solves the same (params, branch), so its h and
-    omega0 (and this context's) are read-only; a refusal is not cached and
-    raises on every call.
+    builder takes h's square root entrywise.  Only params and solution are
+    constructor arguments: vertex, h and omega0 are derived from them.
+    `create` takes the branch's solution from boundary.solve_branch: it is
+    per-process and shared with every other caller that solves the same
+    (params, branch), so its h and omega0 (and this context's) are
+    read-only; a refusal is not cached and raises on every call.
     """
 
     params: ModelParams
     solution: BoundarySolution
-    vertex: np.ndarray = field(repr=False, compare=False, default=None)
-    h: np.ndarray = field(repr=False, compare=False, default=None)
-    omega0: np.ndarray = field(repr=False, compare=False, default=None)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    vertex: np.ndarray = field(init=False, repr=False, compare=False)
+    h: np.ndarray = field(init=False, repr=False, compare=False)
+    omega0: np.ndarray = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertex", vertex_operator(self.params))
@@ -296,12 +305,12 @@ def _outward_weight(ctx: EvalContext, n: int, reduce: bool) -> np.ndarray:
     With reduce, each level-n vertex's two boundary children are traced out
     (normalized) right away, which is exact because no later factor acts on
     them; nothing uses the fixed point.  Each step is a small superoperator
-    on x's slot (_conjugate_outward).  At low temperature omega0 and A are
-    huge and h tiny, so the steps can overflow a float although the weight
-    they end in does not: where the plain build is not finite, it runs again
-    with power-of-two scaling, and only a finished weight that overflows is
-    refused, with a DomainError.  Refuses a result beyond 7 sites (128x128)
-    with a ResourceLimitError.  Cached on the context per depth and form.
+    on x's slot (_conjugate_outward), scaled by powers of two, so at low
+    temperature, where omega0 and A are huge and h tiny, the steps do not
+    overflow a float although a plain build would: only a finished weight
+    that overflows is refused, with a DomainError.  Refuses a result beyond
+    7 sites (128x128) with a ResourceLimitError.  Cached on the context per
+    depth and form.
     """
     if n < 0:
         raise DomainError(f"depth must be >= 0, got {n}")
@@ -312,9 +321,7 @@ def _outward_weight(ctx: EvalContext, n: int, reduce: bool) -> np.ndarray:
     if key in ctx._cache:
         return ctx._cache[key]
     with np.errstate(over="ignore", invalid="ignore"):  # a weight beyond a float is refused below
-        w = _conjugate_outward(ctx, n, reduce, rescale=False)
-        if not np.isfinite(w).all():
-            w = _conjugate_outward(ctx, n, reduce, rescale=True)
+        w = _conjugate_outward(ctx, n, reduce)
     if not np.isfinite(w).all():
         raise DomainError(
             f"the weight of the {2 ** (n + 2) - 1}-site ball overflows a float on the "
@@ -324,26 +331,22 @@ def _outward_weight(ctx: EvalContext, n: int, reduce: bool) -> np.ndarray:
     return w
 
 
-def _conjugate_outward(ctx: EvalContext, n: int, reduce: bool, rescale: bool) -> np.ndarray:
+def _conjugate_outward(ctx: EvalContext, n: int, reduce: bool) -> np.ndarray:
     """_outward_weight's conjugations, from omega0 through every vertex of the n-ball.
 
-    With rescale, A, A (1 x h^{1/2} x h^{1/2}) and omega0 enter divided by
-    powers of two that bring their largest entries into [1/2, 1), and so
-    does the running tensor after every vertex; the powers, summed,
-    multiply the finished weight.  Scaling by a power of two is exact
-    barring underflow, so the weight is the one a float with an unbounded
-    exponent would give the plain build.  Without rescale it is the plain
-    build, whose bits every finite weight keeps.
+    A, A (1 x h^{1/2} x h^{1/2}) and omega0 enter divided by powers of two
+    that bring their largest entries into [1/2, 1), and so does the running
+    tensor after every vertex; the powers, summed, multiply the finished
+    weight.  Scaling by a power of two is exact barring underflow, so the
+    weight is the one a float with an unbounded exponent would give the
+    unscaled build, and bit for bit the unscaled build's own wherever
+    neither build underflows.
     """
     h_sqrt = np.sqrt(ctx.h)
-    a, x, exponent = ctx.vertex, ctx.omega0, 0  # the weight is x 2^exponent
-    if rescale:
-        (a, a_exponent), (x, exponent) = _normalized(a), _normalized(x)
-    a_h = a @ kron(PAULI["I"], kron(h_sqrt, h_sqrt))
-    if rescale:
-        a_h, h_exponent = _normalized(a_h)
-        # each vertex multiplies in its B* and B: 2^n - 1 inner vertices A, 2^n level-n ones A (1 x h^1/2 x h^1/2)
-        exponent += 2 * a_exponent * (2 ** (n + 1) - 1) + 2 * h_exponent * 2**n
+    (a, a_exponent), (x, exponent) = _normalized(ctx.vertex), _normalized(ctx.omega0)  # the weight is x 2^exponent
+    a_h, h_exponent = _normalized(a @ kron(PAULI["I"], kron(h_sqrt, h_sqrt)))
+    # each vertex multiplies in its B* and B: 2^n - 1 inner vertices A, 2^n level-n ones A (1 x h^1/2 x h^1/2)
+    exponent += 2 * a_exponent * (2 ** (n + 1) - 1) + 2 * h_exponent * 2**n
     a, a_h = a.reshape(2, 4, 8), a_h.reshape(2, 4, 8)
     step = np.einsum("aip,biq->abpq", a.conj(), a).reshape((2,) * 8)
     if reduce:  # x's slot (a, b) -> (p, q), its two children traced out
@@ -360,11 +363,9 @@ def _conjugate_outward(ctx: EvalContext, n: int, reduce: bool, rescale: bool) ->
         else:
             x = np.moveaxis(x, range(-6, 0), [p, m, m + 1, m + 2 + p, 2 * m + 2, 2 * m + 3])
             m += 2
-        if rescale:
-            x, e = _normalized(x)
-            exponent += e
-    w = x.reshape(2**m, 2**m)
-    return _ldexp(w, exponent) if rescale else w
+        x, e = _normalized(x)
+        exponent += e
+    return _ldexp(x.reshape(2**m, 2**m), exponent)
 
 
 def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
@@ -413,7 +414,7 @@ def _trace_weight(w: np.ndarray, n: int, obs: Observable) -> complex:
             kept += [m + pos, pos]  # the factor's (column, row)
         x = np.einsum(t, labels, kept)
         for _, f in term.factors:
-            f00, f01, f10, f11 = f.ravel().tolist()
+            f00, f01, f10, f11 = term._reads[id(f)][1]
             x = x.reshape(4, -1)
             x = f00 * x[0] + f01 * x[1] + f10 * x[2] + f11 * x[3]
         total += term.coeff * x.item() / 2**m
@@ -558,7 +559,8 @@ def eval_recursive(ctx: EvalContext, obs: Observable) -> complex:
     return total
 
 
-_EYE_BYTES = PAULI["I"].tobytes()
+_EYE = PAULI["I"].tobytes(), tuple(PAULI["I"].ravel().tolist())  # the identity's bytes and entries
+_EYE_BYTES = _EYE[0]
 _UNTOUCHED = 0  # the subtree id of a child outside the support: its value is h
 _BARE = (_UNTOUCHED, 0)  # an untouched child slot: (subtree id, spine maps)
 _BITS = bytes.maketrans(b"\x01\x02", b"01")  # a site's digits as the binary digits of its index
@@ -630,8 +632,8 @@ def _compile(term: ObservableTerm) -> tuple[tuple, ...]:
     # below builds the same plan; fresh one-site markers are frequent enough
     # (each solved point checks several) that skipping it pays.
     if len(term.factors) <= 1:
-        site, mat = term.factors[0] if term.factors else (ROOT, PAULI["I"])
-        leaf = (tuple(mat.ravel().tolist()),)
+        site, (_, entries) = (term.factors[0][0], *term._reads.values()) if term.factors else (ROOT, _EYE)
+        leaf = (entries,)
         return (leaf, (1, site.level)) if site.level else (leaf,)
     ids: dict[tuple, int] = {}  # interned subtree -> its row of the value table
     ops: list[tuple] = []
@@ -659,10 +661,8 @@ def _compile(term: ObservableTerm) -> tuple[tuple, ...]:
         else:
             stack[-1][3][side] = intern((factor, settle(*kids.get(0, _BARE)), settle(*kids.get(1, _BARE)))), up
 
-    distinct = {id(m): m for _, m in term.factors}  # a projector's sites share one stored factor
-    raw = {i: m.tobytes() for i, m in distinct.items()}
-    entries = {b: tuple(np.frombuffer(b, dtype=complex).tolist()) for b in {*raw.values(), _EYE_BYTES}}
-    sites = sorted((bytes(s.digits).translate(_BITS), raw[id(m)]) for s, m in term.factors)
+    entries = dict((_EYE, *term._reads.values()))  # factor bytes -> its four entries, read once per stored factor
+    sites = sorted((bytes(s.digits).translate(_BITS), term._reads[id(m)][0]) for s, m in term.factors)
     # the open branch points as (level, label, factor bytes, child slots), under
     # an entry above the root whose one slot receives the root's value
     stack = [(-1, 0, None, {}), (0, 1, _EYE_BYTES, {})]

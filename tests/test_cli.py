@@ -761,6 +761,15 @@ def test_evaluate_never_prints_a_wrong_value_at_beta_150(tmp_path, capsys):
         assert out == "" and err.startswith("domain error:")
 
 
+@pytest.mark.parametrize("command", ["solve", "coeffs", "cluster"])
+def test_an_overflowing_boltzmann_factor_names_the_point(capsys, command):
+    # 4 j0 beta = 1200 is a float, e^1200 is not
+    code, out, err = run_cli(capsys, [command, "--j0", "1", "--j", "0.3", "--beta", "300"])
+    assert _one_domain_error(code, out, err)
+    assert err.endswith("overflows a float at ModelParams(j0=1.0, j=0.3, beta=300.0)\n")
+    assert "couplings times beta" not in err
+
+
 HUGE = "1" + "0" * 340  # an integer literal that no double holds
 
 

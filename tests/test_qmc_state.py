@@ -1,8 +1,10 @@
+import copy
 import functools
 import inspect
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -647,6 +649,21 @@ def test_a_term_copies_its_factors_once_and_read_only(ctx_plus):
         factor[0, 0] = 2.0
 
 
+def test_terms_that_differ_in_the_sign_of_a_zero_differ():
+    site = TreeCoord((1, 2))
+    plus, minus = (ObservableTerm(1.0, ((site, np.array([[1, zero], [0, 1]], dtype=complex)),)) for zero in (0.0, -0.0))
+    assert plus != minus and hash(plus) != hash(minus)
+    (leaf_plus, _), (leaf_minus, _) = plus._plan, minus._plan
+    assert [z.real for z in leaf_plus[0]] == [z.real for z in leaf_minus[0]]  # equal as numbers
+    assert [math.copysign(1, z.real) for z in leaf_plus[0]] != [math.copysign(1, z.real) for z in leaf_minus[0]]
+
+
+def test_a_copied_term_is_built_again():
+    term = projector_observable(3, "P").terms[0]
+    for copied in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert copied == term and hash(copied) == hash(term) and copied._plan == term._plan
+
+
 def test_separately_built_observables_compare_by_value():
     site = TreeCoord((1,))
     z = Observable.single(site, PAULI["Z"])
@@ -875,11 +892,13 @@ def test_the_bruteforce_oracle_refuses_an_overflowing_trace_of_the_identity():
 
 
 @pytest.mark.parametrize("branch", [Branch.ORDERED_PLUS, Branch.ORDERED_MINUS, Branch.DISORDERED])
-@pytest.mark.parametrize("beta", [45.0, 60.0, 90.0])
+@pytest.mark.parametrize("beta", [30.0, 45.0, 60.0, 90.0])
 def test_oracles_answer_at_low_temperature(beta, branch):
     # The weights are small (largest entry 64 or 128), but omega0 (8.5e103 at beta = 60) and A (1.3e52)
-    # overflow a float in the conjugations before the boundary's h^1/2 brings them back; the
-    # builder then runs again with power-of-two scaling, and both oracles answer as the recursive route
+    # would overflow a float in unscaled conjugations before the boundary's h^1/2 brings them back, and
+    # at beta = 30 an unscaled build of the ordered branches' reduced weight at n = 2 passes through
+    # subnormals; the builder scales every step by a power of two, and both oracles answer as the
+    # recursive route
     ctx = EvalContext.create(ModelParams(1.0, 0.3, beta), branch)
     for obs in (marker_observable(1), random_product_observable(np.random.default_rng(11), ball_vertices(1))):
         want = eval_recursive(ctx, obs)
@@ -925,6 +944,21 @@ def test_diagonal_boundary_refuses_what_the_array_test_refuses():
             except DomainError:
                 accepted = False
             assert accepted == array_test(a), a
+
+
+def test_context_takes_only_params_and_solution():
+    sol = solve_branch(ORDERED_POINT, Branch.DISORDERED)
+    for derived in ("vertex", "h", "omega0", "_cache"):
+        with pytest.raises(TypeError):
+            EvalContext(params=ORDERED_POINT, solution=sol, **{derived: np.eye(2, dtype=complex)})
+
+
+@pytest.mark.parametrize("branch", [Branch.ORDERED_PLUS, Branch.ORDERED_MINUS, Branch.DISORDERED])
+def test_context_names_an_overflowing_boltzmann_factor(branch):
+    # e^{4 j0 beta} = e^1200 overflows a float although 4 j0 beta does not
+    with pytest.raises(DomainError, match=r"overflows a float at ModelParams\(j0=1, j=0.3, beta=300\)$") as info:
+        EvalContext.create(ModelParams(1, 0.3, 300), branch)
+    assert isinstance(info.value, OverflowError)
 
 
 def test_context_shares_the_solved_boundary():
