@@ -101,8 +101,6 @@ def _series(p: ModelParams, c: TransferCoeffs, xi3: float | None = None) -> Tran
     rho1_hat = c3_squared / den
     rho2_hat = 2 * c.c3 * (c.c3 - c.c1) / den
     rho1_check = 2 * c.c2 * c3_squared * xi3 / den
-    if math.isinf(rho1_check):  # the product 2 C2 C3^2 can overflow where the quotient does not
-        rho1_check = 2 * c.c2 * xi3 * rho1_hat
     return TransferSeries(rho1_hat=rho1_hat, rho2_hat=rho2_hat, rho1_check=rho1_check, lam=_lam(c))
 
 
