@@ -21,7 +21,7 @@ from .errors import (
     DomainError,
     ModelInconsistencyError,
     ResourceLimitError,
-    SeriesOverflowError,
+    ClosedFormOverflowError,
     SingularParameterError,
 )
 from .model_ops import ModelParams, TransferCoeffs, operator_coeffs, transfer_coeffs
@@ -95,7 +95,7 @@ def _series(p: ModelParams, c: TransferCoeffs, xi3: float | None = None) -> Tran
     try:
         c3_squared = c.c3**2
     except OverflowError:  # a float power raises where a product would give inf
-        raise SeriesOverflowError(
+        raise ClosedFormOverflowError(
             f"the transfer series constant C3^2 overflows a float at j0={p.j0}, j={p.j}, beta={p.beta}"
         ) from None
     rho1_hat = c3_squared / den

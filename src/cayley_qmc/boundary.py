@@ -21,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    BoltzmannOverflowError,
     DomainError,
     ModelInconsistencyError,
     SingularParameterError,
@@ -32,6 +31,7 @@ from .model_ops import (
     PAULI,
     ModelParams,
     TransferCoeffs,
+    boltzmann_factors,
     transfer_coeffs,
     transfer_coeffs_numeric,
     vertex_channel,
@@ -111,17 +111,12 @@ def _expects_transition(j, j0, threshold):
 def delta_theta(p: ModelParams) -> float:
     """The discriminant Delta(theta) whose sign separates the phase regions.
 
-    Raises BoltzmannOverflowError, an OverflowError that names the point, where a term overflows a float.
+    Raises ClosedFormOverflowError, an OverflowError that names the point, where a term overflows a float.
     """
     if p.j == p.j0 or p.j == -p.j0:
         raise SingularParameterError(f"J = +-J0 is excluded (j={p.j}, j0={p.j0})")
-    try:
-        e4 = math.exp(4 * p.j0 * p.beta)
-        den = _denominator(e4, math.exp(2 * p.j0 * p.beta), math.cosh(2 * p.j * p.beta))
-    except OverflowError:
-        den = math.inf
-    if not math.isfinite(den):  # a factor overflows, or their product does where each factor does not
-        raise BoltzmannOverflowError(f"Delta's e^(4 j0 beta) or e^(2 j0 beta) cosh(2 j beta) overflows a float at {p}")
+    e4, e2, cosh = boltzmann_factors(p, "Delta", times=2)  # den holds 2 e^{2 J0 beta} cosh(2 J beta)
+    den = _denominator(e4, e2, cosh)
     if abs(den) < SINGULAR_TOL * max(1.0, e4):
         raise SingularParameterError(f"singular parameters: denominator {den:.3e} vanishes near J = +-J0")
     return (den - 4) / den

@@ -32,17 +32,10 @@ class ThresholdOverflowError(DomainError, OverflowError):
     """
 
 
-class SeriesOverflowError(DomainError, OverflowError):
-    """A closed-form series constant overflows a float at a point whose couplings times beta do not.
+class ClosedFormOverflowError(DomainError, OverflowError):
+    """A closed form's Boltzmann factor or series constant overflows a float at a point whose couplings times beta do not.
 
     An OverflowError, as math's and float powers' are, that names the point.
-    """
-
-
-class BoltzmannOverflowError(DomainError, OverflowError):
-    """A Boltzmann factor such as e^{4 J0 beta} overflows a float at a point whose couplings times beta do not.
-
-    An OverflowError, as math's is, that names the point.
     """
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoltzmannOverflowError, DomainError, ModelInconsistencyError
+from .errors import ClosedFormOverflowError, DomainError, ModelInconsistencyError
 from .linalg import LOG_MAX, dagger, herm_exp, kron
 
 PAULI = {
@@ -206,18 +206,28 @@ def vertex_channel(a_vertex: np.ndarray, root: np.ndarray, left: np.ndarray, rig
     return np.einsum("abcdbc->ad", (a_vertex @ inner @ dagger(a_vertex)).reshape((2,) * 6)) / 4
 
 
+def boltzmann_factors(p: ModelParams, what: str, times: float = 1.0) -> tuple[float, float, float]:
+    """e^{4 J0 beta}, e^{2 J0 beta} and cosh(2 J beta) at p, for the closed form named what.
+
+    Where one of them, or times e^{2 J0 beta} cosh(2 J beta), overflows a
+    float, raises ClosedFormOverflowError, which names what and the point.
+    """
+    try:
+        e4, e2, cosh = math.exp(4 * p.j0 * p.beta), math.exp(2 * p.j0 * p.beta), math.cosh(2 * p.j * p.beta)
+    except OverflowError:
+        e2 = cosh = math.inf
+    if e2 * times * cosh == math.inf:  # a factor overflows, or the product does where each factor does not
+        raise ClosedFormOverflowError(f"{what}'s e^(4 j0 beta) or e^(2 j0 beta) cosh(2 j beta) overflows a float at {p}")
+    return e4, e2, cosh
+
+
 def transfer_coeffs(p: ModelParams) -> TransferCoeffs:
     """Closed-form diagonal transfer coefficients (C1, C2, C3).
 
-    Raises BoltzmannOverflowError, an OverflowError that names the point, where a coefficient overflows a float.
+    Raises ClosedFormOverflowError, an OverflowError that names the point, where a coefficient overflows a float.
     """
-    try:
-        e4 = math.exp(4 * p.j0 * p.beta)
-        f = math.exp(2 * p.j0 * p.beta) * math.cosh(2 * p.j * p.beta)
-    except OverflowError:
-        f = math.inf
-    if f == math.inf:  # a factor overflows, or their product does where each factor does not
-        raise BoltzmannOverflowError(f"C1..C3's e^(4 j0 beta) or e^(2 j0 beta) cosh(2 j beta) overflows a float at {p}")
+    e4, e2, cosh = boltzmann_factors(p, "C1..C3")
+    f = e2 * cosh
     return TransferCoeffs(c1=(e4 + 1) / 4 + f / 2, c2=(e4 + 1) / 4 - f / 2, c3=(e4 - 1) / 2)
 
 
