@@ -8,6 +8,7 @@ evaluation through the state machinery in `qmc_state`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -101,6 +102,8 @@ def _series(p: ModelParams, c: TransferCoeffs, xi3: float | None = None) -> Tran
     rho1_hat = c3_squared / den
     rho2_hat = 2 * c.c3 * (c.c3 - c.c1) / den
     rho1_check = 2 * c.c2 * c3_squared * xi3 / den
+    if math.isinf(rho1_check):  # C2 C3^2 overflows where the constant need not: C3^2 / den is rho1_hat
+        rho1_check = 2 * c.c2 * xi3 * rho1_hat
     return TransferSeries(rho1_hat=rho1_hat, rho2_hat=rho2_hat, rho1_check=rho1_check, lam=_lam(c))
 
 
@@ -178,10 +181,14 @@ def projector_limit_scan(j0: float, j: float, n: int, betas: list[float]) -> lis
     return rows
 
 
+@functools.lru_cache(maxsize=256)
 def _marker_coeffs(p: ModelParams, branch: Branch) -> tuple[float, float, float]:
     """(constant, lam-coefficient, lam) of the closed marker expectation.
 
     Reads the transfer coefficients and the ordered constants once each.
+    Memoized per (frozen) parameter set and branch, as solve_branch is: a
+    solved point checks several markers.  A refusal (Delta <= 0, a branch
+    that is not an ordered Branch, an overflow) is not cached.
     """
     c = transfer_coeffs(p)
     xi0, xi3 = ordered_xi(p, c)

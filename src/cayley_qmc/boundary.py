@@ -8,7 +8,8 @@ solve_branch is the one solver: it builds and checks (fixed-point residual
 and normalization) each branch's solution once per process and parameter
 set, then shares it, so every call for that (params, branch), solve_ordered's
 included, returns the same BoundarySolution and its h and omega0 are
-read-only.  Refusals are not cached; each call raises them again.
+read-only.  delta_theta and phase_region are memoized per parameter set in
+the same way.  Refusals are not cached; each call raises them again.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from .errors import (
     ThresholdOverflowError,
 )
 from .model_ops import (
-    PAULI,
     ModelParams,
     TransferCoeffs,
     boltzmann_factors,
+    diagonal_channel,
     transfer_coeffs,
     transfer_coeffs_numeric,
-    vertex_channel,
     vertex_operator,
     xy_only_coeffs,
 )
@@ -108,10 +108,15 @@ def _expects_transition(j, j0, threshold):
     return (j * j > j0 * j0) | (j0 > threshold)
 
 
+@functools.lru_cache(maxsize=256)
 def delta_theta(p: ModelParams) -> float:
     """The discriminant Delta(theta) whose sign separates the phase regions.
 
-    Raises ClosedFormOverflowError, an OverflowError that names the point, where a term overflows a float.
+    Memoized per (frozen) parameter set, as solve_branch is: a cold point
+    reads it in several places.  Raises SingularParameterError at J = +-J0
+    and where den vanishes, and ClosedFormOverflowError, an OverflowError
+    that names the point, where a term overflows a float; a refusal is not
+    cached.
     """
     if p.j == p.j0 or p.j == -p.j0:
         raise SingularParameterError(f"J = +-J0 is excluded (j={p.j}, j0={p.j0})")
@@ -142,8 +147,13 @@ def dd_threshold(j: float, beta: float) -> float:
     return threshold
 
 
+@functools.lru_cache(maxsize=256)
 def phase_region(p: ModelParams) -> PhaseRegion:
-    """Classify by the sign of Delta and cross-check the closed-form region."""
+    """Classify by the sign of Delta and cross-check the closed-form region.
+
+    Memoized per (frozen) parameter set, as solve_branch is; a refusal (one
+    of delta_theta's, a failed cross-check) is not cached.
+    """
     delta = delta_theta(p)
     if abs(delta) <= BOUNDARY_TOL:
         return PhaseRegion(delta, Classification.BOUNDARY)
@@ -247,9 +257,19 @@ def phase_region_grid(js: np.ndarray, j0s: np.ndarray, beta: float) -> tuple[np.
 
 
 def fixed_point_residual(p: ModelParams, h: np.ndarray) -> float:
-    """Frobenius norm of Phi(h) - h under the numeric vertex channel."""
-    a = vertex_operator(p)
-    return float(np.linalg.norm(vertex_channel(a, PAULI["I"], h, h) - h))
+    """Frobenius norm of Phi(h) - h under the numeric vertex channel, for a diagonal h.
+
+    Every solution is diagonal, so the probe 1 x h x h is too, and
+    diagonal_channel forms A (1 x h x h) A* by scaling A's columns: each
+    entry of A (1 x h x h) is the literal product's one term that is not an
+    exact 0, so the residual keeps vertex_channel's bits.  A non-diagonal h
+    is a DomainError.
+    """
+    (_, off01), (off10, _) = h.tolist()
+    if off01 or off10:
+        raise DomainError(f"the fixed-point residual takes a diagonal h, got off-diagonal ({off01!r}, {off10!r})")
+    d = h.diagonal()
+    return float(np.linalg.norm(diagonal_channel(vertex_operator(p), d, d) - h))
 
 
 def _diagonal(d0: float, d1: float) -> np.ndarray:

@@ -253,7 +253,29 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in arguments:
             p.add_argument(flag, **options)
         p.add_argument("--out", default=None)
+    parser.commands = sub.choices  # each subcommand's parser by name, for _parse
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser's parse of argv, through the named subcommand's own parser where it can be.
+
+    The full parser hands every argument after the command to that
+    subcommand's parser and adds the command's name; it adds its own error
+    only where arguments are left over.  So where argv[0] names a
+    subcommand whose parser leaves nothing over, that parser's namespace,
+    with the command set, is the full parse; everywhere else (no argument,
+    -h, an unknown command, leftover arguments) the full parser runs, so
+    every help, usage and error text is what it prints.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, leftover = command.parse_known_args(argv[1:])
+        if not leftover:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _table(args, columns: Mapping[str, Sequence], **doc) -> str:
@@ -388,7 +410,7 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:

@@ -203,7 +203,26 @@ def vertex_operator_closed(p: ModelParams) -> np.ndarray:
 def vertex_channel(a_vertex: np.ndarray, root: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Normalized partial trace of A (root x left x right) A* onto the parent site."""
     inner = kron(kron(root, left), right)
-    return np.einsum("abcdbc->ad", (a_vertex @ inner @ dagger(a_vertex)).reshape((2,) * 6)) / 4
+    return _trace_children(a_vertex @ inner @ dagger(a_vertex))
+
+
+def diagonal_channel(a_vertex: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """vertex_channel(a_vertex, 1, diag(left), diag(right)) from the children's diagonals, bit for bit.
+
+    1 x diag(left) x diag(right) is diag(d), d[(p, b, c)] = left[b] * right[c],
+    so A diag(d) is A with column k scaled by d[k]: entry (i, k) of the
+    literal A @ kron(...) is A[i, k] d[k] plus the terms A[i, m] * 0, which
+    are exact zeros, so (A * d) holds the same values (a zero's sign aside)
+    without the two Kronecker products and the first 8x8 product.  The
+    product with A*, the partial trace and the /4 are vertex_channel's own.
+    """
+    d = (left[:, None] * right[None, :]).ravel()
+    return _trace_children((a_vertex * np.concatenate((d, d))) @ dagger(a_vertex))
+
+
+def _trace_children(x: np.ndarray) -> np.ndarray:
+    """The 8x8 operator x on (parent, child 1, child 2), traced over the children and divided by 4."""
+    return np.einsum("abcdbc->ad", x.reshape((2,) * 6)) / 4
 
 
 def boltzmann_factors(p: ModelParams, what: str, times: float = 1.0) -> tuple[float, float, float]:
@@ -221,10 +240,14 @@ def boltzmann_factors(p: ModelParams, what: str, times: float = 1.0) -> tuple[fl
     return e4, e2, cosh
 
 
+@functools.lru_cache(maxsize=256)
 def transfer_coeffs(p: ModelParams) -> TransferCoeffs:
     """Closed-form diagonal transfer coefficients (C1, C2, C3).
 
-    Raises ClosedFormOverflowError, an OverflowError that names the point, where a coefficient overflows a float.
+    Memoized per (frozen) parameter set, as vertex_operator is: a cold point
+    reads them in several places.  Raises ClosedFormOverflowError, an
+    OverflowError that names the point, where a coefficient overflows a
+    float; a refusal is not cached.
     """
     e4, e2, cosh = boltzmann_factors(p, "C1..C3")
     f = e2 * cosh
@@ -246,15 +269,19 @@ def transfer_coeffs_numeric(p: ModelParams) -> TransferCoeffs:
 
     Probes Phi(h) = Tr_parent(A (1 x h x h) A*) at h = 1 and h = 1 + sz and
     solves Phi(1) = C1*1, Phi(1 + sz) = (C1 + C2)*1 + C3*sz.  Uses the product
-    vertex operator, never the closed form.  A channel that overflows a float
-    raises OverflowError, as math.exp does.
+    vertex operator, never the closed form.  Both probes are diagonal, so
+    diagonal_channel forms A (1 x h x h) A* by scaling A's columns: each
+    entry of A (1 x h x h) is the literal product's one term that is not an
+    exact 0, so the channel, and the coefficients, keep vertex_channel's
+    bits.  A channel that overflows a float raises OverflowError, as
+    math.exp does.
     """
     a = vertex_operator(p)
-    eye = PAULI["I"]
-    probe = eye + PAULI["Z"]
+    one = PAULI["I"].diagonal()
+    probe = (PAULI["I"] + PAULI["Z"]).diagonal()
     with np.errstate(over="ignore", invalid="ignore"):  # A A* reaches 4 C1 and overflows before C1 does
-        phi_eye = vertex_channel(a, eye, eye, eye)
-        phi_probe = vertex_channel(a, eye, probe, probe)
+        phi_eye = diagonal_channel(a, one, one)
+        phi_probe = diagonal_channel(a, probe, probe)
     if not (np.isfinite(phi_eye).all() and np.isfinite(phi_probe).all()):
         raise OverflowError("math range error")
     d0, d1 = _extract_diagonal(phi_eye, "Phi(1)")

@@ -60,7 +60,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -137,10 +137,18 @@ class ObservableTerm:
     def factor_map(self) -> dict[TreeCoord, np.ndarray]:
         return dict(self.factors)
 
-    @cached_property
+    @property
     def _plan(self) -> tuple[tuple, ...]:
-        """The term's contraction plan, which depends on no context: built once, replayed per context."""
-        return _compile(self)
+        """The term's contraction plan, which depends on no context: built once, replayed per context.
+
+        Kept in the instance's own slot rather than by functools.cached_property,
+        which on Python 3.10 and 3.11 takes a lock, shared by every term, on
+        each first access.
+        """
+        plan = self.__dict__.get("_plan")
+        if plan is None:
+            plan = self.__dict__["_plan"] = _compile(self)
+        return plan
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cayley_qmc import analysis, boundary
@@ -179,6 +179,7 @@ def composed_marker_closed(p, n, branch):
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.1, 2.0), st.floats(-0.95, 0.95), st.floats(0.1, 30.0), st.integers(1, 40))
+@example(2.0, 0.0, 30.0, 1)  # 2 C2 C3^2 xi3 overflows although rho1_check is about 4e103
 def test_marker_closed_reads_its_inputs_once_bit_for_bit(j0, ratio, beta, n):
     p = ModelParams(j0, j0 * ratio, beta)
     for branch in (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS):
@@ -207,13 +208,23 @@ def test_quasi_gap_constants():
     assert g.lower_bound(2) <= g.lower_bound(6) < g.i1
 
 
-def test_closed_forms_refuse_overflow_instead_of_nan():
-    # c2 c3^2 ~ e^720 overflows at beta = 60: the marker constants are +-inf
+def test_closed_forms_answer_where_the_check_product_overflows():
+    # c2 c3^2 ~ e^720 overflows at beta = 60, but rho1_check does not: the closed forms answer, as the engine does
     p = ModelParams(1.0, 0.3, 60.0)
-    with pytest.raises(DomainError):
-        marker_expectation_closed(p, 2, Branch.ORDERED_PLUS)
-    with pytest.raises(DomainError):
-        quasi_gap(p)
+    engine = eval_recursive(EvalContext.create(p, Branch.ORDERED_PLUS), marker_observable(2))
+    assert engine == 1.0
+    assert marker_expectation_closed(p, 2, Branch.ORDERED_PLUS) == pytest.approx(1.0, abs=1e-15)
+    gap = quasi_gap(p)
+    assert all(map(math.isfinite, (gap.i1, gap.i2, gap.lam)))
+
+
+def test_marker_constants_refuse_finite_inputs_whose_product_overflows(monkeypatch):
+    # no solved point reaches this refusal (rho1_check is formed without a spurious overflow), so patch in
+    # finite ordered constants whose products with rho1_check overflow
+    monkeypatch.setattr(analysis, "ordered_xi", lambda p, coeffs=None: (1e110, 5e109))
+    analysis._marker_coeffs.cache_clear()  # a memo of POINT filled earlier would answer without reading them
+    with pytest.raises(DomainError, match=r"marker constants overflow a float at .*\(inf, -inf\)"):
+        marker_expectation_closed(POINT, 2, Branch.ORDERED_PLUS)
 
 
 @pytest.mark.parametrize(
@@ -229,16 +240,14 @@ def test_series_overflow_names_the_point(closed_form):
     assert isinstance(info.value, OverflowError)
 
 
-def test_transfer_series_refuses_overflow_instead_of_nan():
-    # 2 C2 C3^2 xi3 overflows here while the hat constants stay finite: with
-    # rho1_check = inf the check series would be inf - inf = nan, even at n = 0
+def test_transfer_series_forms_rho1_check_without_overflow():
+    # 2 C2 C3^2 xi3 overflows here although rho1_check is about 9.07e130: it is
+    # formed as 2 C2 xi3 rho1_hat, so the check series is 0 at n = 0, not inf - inf = nan
     p = ModelParams(1.8730946195190907, -1.5183071189741324, 40.43133304755668)
     ts = transfer_series(p)
-    assert ts.rho1_check == math.inf and math.isfinite(ts.rho1_hat)
+    assert ts.rho1_check == pytest.approx(9.07e130, rel=1e-3) and math.isfinite(ts.rho1_hat)
     for branch in (Branch.ORDERED_PLUS, Branch.ORDERED_MINUS):
-        for series in (ts.hat, ts.check):
-            with pytest.raises(DomainError, match="overflow"):
-                series(0, branch)
+        assert ts.check(0, branch) == 0.0
 
 
 def test_projector_refuses_depths_beyond_a_double():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayley_qmc import analysis
 from cayley_qmc.boundary import (
     Branch,
     Classification,
@@ -21,6 +22,7 @@ from cayley_qmc.boundary import (
     xy_alpha_report,
 )
 from cayley_qmc.errors import (
+    ClosedFormOverflowError,
     DomainError,
     ModelInconsistencyError,
     SingularParameterError,
@@ -28,7 +30,7 @@ from cayley_qmc.errors import (
     ThresholdOverflowError,
 )
 from cayley_qmc.linalg import normalized_trace
-from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs, vertex_operator
+from cayley_qmc.model_ops import PAULI, ModelParams, transfer_coeffs, vertex_channel, vertex_operator
 
 
 def test_delta_boundary_point():
@@ -318,6 +320,69 @@ def test_signed_zeros_share_one_solution_with_the_same_bits(zero, negative_zero,
         a, b = (solve_branch.__wrapped__(p, branch) for p in (zero, negative_zero))
         assert (a.h.tobytes(), a.omega0.tobytes()) == (b.h.tobytes(), b.omega0.tobytes())
         assert repr((a.residual, a.xi0, a.xi3, a.alpha)) == repr((b.residual, b.xi0, b.xi3, b.alpha))
+
+
+# The memos of a cold point's closed forms, each with the arguments after the point
+POINT_MEMOS = [
+    pytest.param(transfer_coeffs, (), id="transfer_coeffs"),
+    pytest.param(delta_theta, (), id="delta_theta"),
+    pytest.param(phase_region, (), id="phase_region"),
+    pytest.param(analysis._marker_coeffs, (Branch.ORDERED_PLUS,), id="marker_coeffs-plus"),
+    pytest.param(analysis._marker_coeffs, (Branch.ORDERED_MINUS,), id="marker_coeffs-minus"),
+]
+
+
+@pytest.mark.parametrize(("memo", "rest"), POINT_MEMOS)
+def test_equal_points_share_one_memoized_result_with_the_same_bits(memo, rest):
+    # ints, floats and a signed zero are one key: the first call's result serves all three, and
+    # each computed apart (memo bypassed) has the same bits
+    points = (ModelParams(1, 0, 1), ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, -0.0, 1.0))
+    memo.cache_clear()
+    first = memo(points[0], *rest)
+    assert all(memo(p, *rest) is first for p in points)
+    assert memo.cache_info().currsize == 1
+    assert {repr(memo.__wrapped__(p, *rest)) for p in points} == {repr(first)}
+
+
+@pytest.mark.parametrize(
+    ("memo", "args", "error"),
+    [
+        (delta_theta, (ModelParams(1.0, 1.0, 0.8),), SingularParameterError),  # J = J0
+        (delta_theta, (ModelParams(1.0, -1.0, 0.8),), SingularParameterError),  # J = -J0
+        (phase_region, (ModelParams(1.0, 1.0, 0.8),), SingularParameterError),
+        (phase_region, (ModelParams(1.0, -1.0, 0.8),), SingularParameterError),
+        (transfer_coeffs, (ModelParams(1.0, 0.3, 300.0),), ClosedFormOverflowError),  # e^{4 J0 beta} overflows
+        (analysis._marker_coeffs, (ModelParams(0.1, 0.0, 0.1), Branch.ORDERED_PLUS), DomainError),  # Delta < 0
+        (analysis._marker_coeffs, (ModelParams(1.0, 0.3, 1.2), "plus"), DomainError),  # a str, not a Branch
+    ],
+    ids=["delta-J0", "delta-minus-J0", "region-J0", "region-minus-J0", "transfer-beta300", "marker-unique", "marker-str"],
+)
+def test_memoized_closed_forms_refuse_on_every_call(memo, args, error):
+    analysis._marker_coeffs(ModelParams(1.0, 0.3, 1.2), Branch.ORDERED_PLUS)  # a str must not hit the Branch entry
+    size = memo.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(error):
+            memo(*args)
+    assert memo.cache_info().currsize == size
+
+
+def test_the_residual_refuses_a_non_diagonal_h():
+    with pytest.raises(DomainError, match="diagonal h"):
+        fixed_point_residual(ModelParams(1.0, 0.5, 0.8), np.array([[1, 0.1], [0.1, 1]], dtype=complex))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.05, 2.0), st.floats(-0.99, 0.99), st.floats(0.01, 80.0))
+def test_solved_residuals_are_the_literal_channels_bit_for_bit(j0, ratio, beta):
+    # the diagonal probe keeps every bit of norm(vertex_channel(A, 1, h, h) - h), on each branch that solves
+    p = ModelParams(j0, j0 * ratio, beta)
+    for branch in (Branch.DISORDERED, Branch.ORDERED_PLUS, Branch.ORDERED_MINUS):
+        try:
+            sol = solve_branch(p, branch)
+        except (DomainError, OverflowError):
+            continue
+        literal = np.linalg.norm(vertex_channel(vertex_operator(p), PAULI["I"], sol.h, sol.h) - sol.h)
+        assert repr(sol.residual) == repr(float(literal))
 
 
 def test_a_branch_is_not_its_str_value():

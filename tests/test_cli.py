@@ -100,6 +100,30 @@ def test_table_stdout_is_the_recorded_bytes(capsys, name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+USAGE = GOLDEN / "usage"
+# each case's name, recorded exit status and arguments, one line each
+USAGE_CASES = {
+    name: (int(code), args)
+    for name, code, *args in map(str.split, (USAGE / "cases.txt").read_text(encoding="utf-8").splitlines())
+}
+
+
+@pytest.mark.parametrize("name", USAGE_CASES)
+def test_usage_is_the_recorded_bytes(capsys, monkeypatch, name):
+    # help, usage and error texts as the full parser prints them, with their exit statuses, and a few
+    # commands that parse (an abbreviation, a negative exponent, --flag=value); argparse wraps its
+    # texts at $COLUMNS - 2, so the width they were recorded at is pinned.  The texts are argparse's
+    # as Python 3.10.13, 3.11.7 and 3.12.1 print them; 3.13.0 wraps usage lines differently and
+    # prints 14 of these cases otherwise, so on a Python outside those three this test also checks
+    # argparse's own wording
+    monkeypatch.setenv("COLUMNS", "80")
+    want, args = USAGE_CASES[name]
+    code, out, err = run_cli(capsys, args)
+    assert (code, out.encode(), err.encode()) == (
+        want, (USAGE / f"{name}.out").read_bytes(), (USAGE / f"{name}.err").read_bytes()
+    )
+
+
 def test_solve_ordered_point(capsys):
     code, out, _ = run_cli(capsys, ["solve", "--j0", "1", "--j", "0.5", "--beta", "0.8"])
     assert code == 0

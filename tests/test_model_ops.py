@@ -11,6 +11,7 @@ from cayley_qmc.linalg import herm_exp, kron, normalized_trace
 from cayley_qmc.model_ops import (
     PAULI,
     ModelParams,
+    diagonal_channel,
     ising_bond,
     ising_bond_closed,
     operator_coeffs,
@@ -253,6 +254,22 @@ def test_channel_symmetric_in_the_two_children():
     left = vertex_channel(a, PAULI["I"], h1, h2)
     right = vertex_channel(a, PAULI["I"], h2, h1)
     assert np.max(np.abs(left - right)) < 1e-12
+
+
+entry = st.complex_numbers(max_magnitude=1e200, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.01, 80.0), st.lists(entry, min_size=4, max_size=4))
+def test_diagonal_channel_is_the_literal_channel_bit_for_bit(j0, j, beta, entries):
+    # column scaling forms A (1 x diag(l) x diag(r)) without the Kronecker products; every output
+    # bit, a zero's sign and an overflow's inf or nan included, is vertex_channel's
+    a = vertex_operator(ModelParams(j0, j, beta))
+    left, right = np.array(entries[:2]), np.array(entries[2:])
+    with np.errstate(all="ignore"):
+        want = vertex_channel(a, PAULI["I"], np.diag(left), np.diag(right))
+        got = diagonal_channel(a, left, right)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_xy_only_coeffs():
